@@ -14,12 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .dense import DenseMatrix
 from .errors import ResourceLimitError, ShapeError
 from .scalars import SqrtRational
 from .walsh import (
     MAX_VECTOR_M,
+    _rational_numerators,
     column_from_signs,
     column_signs,
     fwht,
@@ -41,8 +43,9 @@ class WeightedColumn:
     multiplicity: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
-        if self.q <= 0:
+        if not isinstance(self.q, Fraction):
+            object.__setattr__(self, "q", Fraction(self.q))
+        if self.q.numerator <= 0:
             raise ValueError(f"column weight must be positive, got {self.q}")
         if self.index < 1:
             raise ValueError(f"column index must be >= 1, got {self.index}")
@@ -109,8 +112,9 @@ class RepresentationVector:
             raise ValueError(
                 f"expected {1 << (self.m - 1)} coordinates for m={self.m}, got {len(self.values)}"
             )
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
-        if any(v < 0 for v in self.values):
+        values = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.values)
+        object.__setattr__(self, "values", values)
+        if any(v.numerator < 0 for v in values):
             raise ValueError("representation vector coordinates must be nonnegative")
 
     def to_record(self) -> dict:
@@ -240,14 +244,25 @@ def to_hadamardesque(matrix: DenseMatrix, tol: float | None = None) -> Hadamarde
 # Representation vectors and dot products
 
 
-def column_representation(matrix: HadamardesqueMatrix) -> RepresentationVector:
-    """Sum the squared scales of every occurrence of each truth column."""
+def _weight_numerators(matrix: HadamardesqueMatrix) -> tuple[list[int], int]:
+    """Representation weights as integer numerators over one common denominator."""
     if matrix.m > MAX_VECTOR_M:
         raise ValueError(f"order m={matrix.m} exceeds the vector cap {MAX_VECTOR_M}")
-    values = [Fraction(0)] * (1 << (matrix.m - 1))
+    den = lcm(*{col.q.denominator for col in matrix.columns})
+    numerators = [0] * (1 << (matrix.m - 1))
     for col in matrix.columns:
-        values[col.index - 1] += col.q * col.multiplicity
-    return RepresentationVector(matrix.m, tuple(values))
+        q = col.q
+        numerators[col.index - 1] += q.numerator * (den // q.denominator) * col.multiplicity
+    return numerators, den
+
+
+def column_representation(matrix: HadamardesqueMatrix) -> RepresentationVector:
+    """Sum the squared scales of every occurrence of each truth column."""
+    numerators, den = _weight_numerators(matrix)
+    zero = Fraction(0)
+    return RepresentationVector(
+        matrix.m, tuple(Fraction(x, den) if x else zero for x in numerators)
+    )
 
 
 def pairwise_dots(matrix: HadamardesqueMatrix) -> PairwiseDots:
@@ -259,9 +274,11 @@ def pairwise_dots(matrix: HadamardesqueMatrix) -> PairwiseDots:
     """
     if matrix.m < 2:
         raise ValueError("pairwise dots need at least two rows")
-    spectrum = fwht(column_representation(matrix).values)
+    numerators, den = _weight_numerators(matrix)
+    spectrum = fwht(numerators)
     values = tuple(
-        spectrum[pair_to_mask(matrix.m, L)] for L in range(1, pair_count(matrix.m) + 1)
+        Fraction(spectrum[pair_to_mask(matrix.m, L)], den)
+        for L in range(1, pair_count(matrix.m) + 1)
     )
     return PairwiseDots(matrix.m, values)
 
@@ -290,14 +307,19 @@ def in_free_span(v, m: int | None = None) -> SpanCheck:
     violating pair indices are returned with their residual dot products.
     """
     order, values = _as_vector(v, m)
-    if order == 1:
+    return _span_check(order, *_rational_numerators(values))
+
+
+def _span_check(m: int, numerators: list[int], den: int) -> SpanCheck:
+    """Free-span test of the vector numerators / den."""
+    if m == 1:
         return SpanCheck(True, ())
-    spectrum = fwht(values)
+    spectrum = fwht(numerators)
     violations = []
-    for L in range(1, pair_count(order) + 1):
-        residual = spectrum[pair_to_mask(order, L)]
-        if residual != 0:
-            violations.append((L, residual))
+    for L in range(1, pair_count(m) + 1):
+        residual = spectrum[pair_to_mask(m, L)]
+        if residual:
+            violations.append((L, Fraction(residual, den)))
     return SpanCheck(not violations, tuple(violations))
 
 
@@ -309,8 +331,12 @@ def same_pairwise_dots(v: RepresentationVector, w: RepresentationVector) -> Span
     """
     if v.m != w.m:
         raise ValueError(f"order mismatch: {v.m} vs {w.m}")
-    diff = [a - b for a, b in zip(v.values, w.values)]
-    return in_free_span(diff, v.m)
+    v_nums, v_den = _rational_numerators(v.values)
+    w_nums, w_den = _rational_numerators(w.values)
+    den = lcm(v_den, w_den)
+    v_scale, w_scale = den // v_den, den // w_den
+    diff = [a * v_scale - b * w_scale for a, b in zip(v_nums, w_nums)]
+    return _span_check(v.m, diff, den)
 
 
 # ---------------------------------------------------------------------------

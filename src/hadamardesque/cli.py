@@ -58,7 +58,10 @@ def _default_workers(config: dict) -> int:
     env = os.environ.get("HADAMARDESQUE_WORKERS")
     if env is not None:
         return int(env)
-    return int(config.get("workers", 1))
+    workers = config.get("workers", 1)
+    if type(workers) is not int:
+        raise FormatError(f'config key "workers" must be an integer, got {workers!r}')
+    return workers
 
 
 def _parse_targets(text: str) -> list:
@@ -125,8 +128,14 @@ def _load_weight_vector(path: str) -> RepresentationVector:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         record = json.loads(text)
-        values = [Fraction(v) for v in record["v"]]
-        return RepresentationVector(int(record["m"]), tuple(values))
+        m, entries = record.get("m"), record.get("v")
+        if type(m) is not int or not isinstance(entries, list):
+            raise FormatError(f'{path}: a weight record needs an integer "m" and a list "v"')
+        try:
+            values = [Fraction(v) for v in entries]
+        except TypeError:
+            raise FormatError(f'{path}: "v" entries must be rational numbers or strings') from None
+        return RepresentationVector(m, tuple(values))
     tokens = text.split()
     if not tokens:
         raise FormatError(f"{path}: empty weight vector")

@@ -29,7 +29,7 @@ from typing import Sequence
 from .classify import HadamardesqueMatrix, RepresentationVector, WeightedColumn, PairwiseDots
 from .errors import InfeasibleError
 from .scalars import SqrtRational
-from .walsh import MAX_VECTOR_M, fwht, pair_count, pair_to_mask
+from .walsh import MAX_VECTOR_M, _rational_numerators, fwht, pair_count, pair_to_mask
 
 FLAVORS = ("canonical", "rational", "irrational")
 
@@ -111,12 +111,18 @@ def construct_crv(m: int, a: Sequence, options: ConstructionOptions | None = Non
     explicit = not isinstance(opts.shift, str)
     if all(v == 0 for v in target) and not explicit:
         return RepresentationVector(m, (Fraction(1),) * n)
-    spectrum = [Fraction(0)] * n
-    for L, value in enumerate(target, start=1):
+    # The raw weights are fwht(spectrum) / (n * den), kept as integer numerators.
+    numerators, den = _rational_numerators(target)
+    spectrum = [0] * n
+    for L, value in enumerate(numerators, start=1):
         spectrum[pair_to_mask(m, L)] = value
-    raw = [v / n for v in fwht(spectrum)]
-    shift = _resolve_shift(opts.shift, max(Fraction(0), -min(raw)))
-    return RepresentationVector(m, tuple(v + shift for v in raw))
+    raw = fwht(spectrum)
+    raw_den = n * den
+    shift = _resolve_shift(opts.shift, Fraction(max(0, -min(raw)), raw_den))
+    out_den = math.lcm(raw_den, shift.denominator)
+    scale = out_den // raw_den
+    offset = shift.numerator * (out_den // shift.denominator)
+    return RepresentationVector(m, tuple(Fraction(w * scale + offset, out_den) for w in raw))
 
 
 def realize_canonical(v: RepresentationVector) -> HadamardesqueMatrix:
@@ -124,7 +130,7 @@ def realize_canonical(v: RepresentationVector) -> HadamardesqueMatrix:
     columns = tuple(
         WeightedColumn(q=value, index=i)
         for i, value in enumerate(v.values, start=1)
-        if value != 0
+        if value
     )
     if not columns:
         raise ValueError("all-zero weight vector: a matrix needs at least one column")
@@ -145,7 +151,7 @@ def realize_uniform_rational(m: int, a: Sequence, options: ConstructionOptions |
     staged = [
         (i, value.numerator, value.denominator)
         for i, value in enumerate(v.values, start=1)
-        if value != 0
+        if value
     ]
     if not staged:
         raise ValueError("all-zero weight vector: a matrix needs at least one column")
@@ -166,8 +172,9 @@ def realize_uniform_irrational(m: int, a: Sequence, options: ConstructionOptions
     entry modulus sqrt(1/(2 d^2)) is irrational.
     """
     base = realize_uniform_rational(m, a, options)
+    q = base.columns[0].q / 2  # every column shares the scale 1/d^2
     columns = tuple(
-        WeightedColumn(q=col.q / 2, index=col.index, multiplicity=col.multiplicity * 2)
+        WeightedColumn(q=q, index=col.index, multiplicity=col.multiplicity * 2)
         for col in base.columns
     )
     return HadamardesqueMatrix(m, columns)

@@ -28,7 +28,6 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -331,9 +330,9 @@ def verify_column_set(m: int, columns) -> bool:
     if any(not 1 <= j <= n for j in cols):
         raise IndexError(f"column index out of range [1, {n}]")
     size_ok = len(cols) == m
-    indicator = [Fraction(0)] * n
+    indicator = [0] * n
     for j in cols:
-        indicator[j - 1] = Fraction(1)
+        indicator[j - 1] = 1
     span_ok = bool(in_free_span(indicator, m))
     dense_ok = is_hadamard(column_set_matrix(m, cols))
     if size_ok and span_ok != dense_ok:

@@ -19,8 +19,11 @@ way, so all row-level statements are column-order free.
 
 from __future__ import annotations
 
-from math import isqrt
+from fractions import Fraction
+from math import isqrt, lcm
 from typing import Sequence
+
+import numpy as np
 
 from .dense import DenseMatrix
 from .errors import ResourceLimitError
@@ -31,6 +34,8 @@ MAX_VECTOR_M = 30
 DENSE_TABLE_CAP = 16
 # Default entry budget for dense Hadamard/Kronecker construction.
 DENSE_ENTRY_BUDGET = 1 << 22
+# An int64 butterfly cannot overflow while the input's l1 norm stays below this.
+_INT64_BOUND = 1 << 63
 
 
 def _check_order(m: int) -> None:
@@ -258,19 +263,45 @@ def fwht(values: Sequence) -> list:
     """Fast Walsh-Hadamard transform in natural (Hadamard) row order.
 
     Returns the dot products of `values` with every row of the Sylvester
-    matrix of matching order: out[mask] = <values, row mask+1>.  Exact over
-    int/Fraction inputs; applying it twice multiplies the input by N.
+    matrix of matching order: out[mask] = <values, row mask+1>.  Applying
+    it twice multiplies the input by N.
+
+    Exact over int and Fraction inputs.  Ints in give ints out; any
+    Fraction in gives Fractions out.  Rational input is scaled to integer
+    numerators over the lcm of its denominators, transformed as integers,
+    and divided back.  The integer transform runs as a numpy int64
+    butterfly when the numerators satisfy sum(|v|) < 2^63: every
+    intermediate is a signed subset sum of the inputs, so none can
+    overflow.  Larger inputs run the same butterfly over Python ints.  Any
+    other entry type raises TypeError.
     """
     n = len(values)
     if n == 0 or n & (n - 1):
         raise ValueError(f"length must be a power of two, got {n}")
-    out = list(values)
+    if all(isinstance(v, int) for v in values):
+        return _int_fwht(values)
+    numerators, den = _rational_numerators(values)
+    return [Fraction(x, den) for x in _int_fwht(numerators)]
+
+
+def _rational_numerators(values: Sequence) -> tuple[list[int], int]:
+    """Integer numerators of int/Fraction values over their least common denominator."""
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"exact transform needs int or Fraction entries, got {v!r}")
+    den = lcm(*{v.denominator for v in values})
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _int_fwht(values: Sequence[int]) -> list[int]:
+    n = len(values)
+    # object dtype keeps Python ints, exact at any size.
+    dtype = np.int64 if sum(map(abs, values)) < _INT64_BOUND else object
+    out = np.array(values, dtype=dtype)
     half = 1
     while half < n:
-        for start in range(0, n, half * 2):
-            for idx in range(start, start + half):
-                x, y = out[idx], out[idx + half]
-                out[idx] = x + y
-                out[idx + half] = x - y
+        blocks = out.reshape(-1, 2, half)
+        x, y = blocks[:, 0], blocks[:, 1]
+        out = np.stack((x + y, x - y), axis=1)
         half *= 2
-    return out
+    return out.reshape(n).tolist()

@@ -148,6 +148,26 @@ def test_in_span_json_record_with_violations(capsys, tmp_path):
     assert lines[1] == "pair L=1 rows=(1,2) residual=1"
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"m": 4},
+        {"v": ["1", "0", "0", "0", "0", "0", "0", "0"]},
+        {"m": 4, "v": "1 0 0 0 0 0 0 0"},
+        {"m": 4, "v": 7},
+        {"m": [4], "v": ["1", "0", "0", "0", "0", "0", "0", "0"]},
+        {"m": 4, "v": [None, "0", "0", "0", "0", "0", "0", "0"]},
+    ],
+)
+def test_in_span_malformed_json_record_is_argument_error(capsys, tmp_path, record):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run(capsys, "in-span", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 # --- construct -------------------------------------------------------------------------
 
 
@@ -255,6 +275,17 @@ def test_search_workers_from_config_file(capsys, tmp_path, monkeypatch):
     # explicit flag wins
     code, out, _ = run(capsys, "--config", str(config), "search", "4", "--json", "--workers", "1")
     assert json.loads(out)["workers"] == 1
+
+
+@pytest.mark.parametrize("workers", [[1], "x", 1.5, None])
+def test_search_config_workers_must_be_an_integer(capsys, tmp_path, monkeypatch, workers):
+    monkeypatch.delenv("HADAMARDESQUE_WORKERS", raising=False)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"workers": workers}))
+    code, out, err = run(capsys, "--config", str(config), "search", "4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "workers" in err
 
 
 def test_search_normalize_flag(capsys):

@@ -4,12 +4,15 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import pair_products_by_rows
 from hadamardesque import (
+    ConstructionOptions,
     HadamardesqueMatrix,
     RepresentationVector,
     WeightedColumn,
     column_representation,
     construct_crv,
+    construct_matrix,
     fwht,
     in_free_span,
     pair_count,
@@ -105,3 +108,37 @@ def test_construct_roundtrip(m, data):
     )
     matrix = realize_canonical(construct_crv(m, target))
     assert pairwise_dots(matrix).values == tuple(target)
+
+
+fine_rationals = st.fractions(min_value=-10, max_value=10, max_denominator=10**6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.sampled_from(("canonical", "rational", "irrational")),
+    st.sampled_from(("minimal", "minimal-integer")),
+    st.data(),
+)
+def test_construct_matrix_roundtrip_all_flavors(m, flavor, shift, data):
+    target = data.draw(
+        st.lists(fine_rationals, min_size=pair_count(m), max_size=pair_count(m))
+    )
+    matrix = construct_matrix(m, target, ConstructionOptions(shift=shift, flavor=flavor))
+    assert pairwise_dots(matrix).values == tuple(target)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=2, max_value=6), st.data())
+def test_in_free_span_residuals_are_pair_row_sums(m, data):
+    n = 1 << (m - 1)
+    values = data.draw(st.lists(rationals | st.integers(-5, 5), min_size=n, max_size=n))
+    expected = []
+    for L, row in enumerate(pair_products_by_rows(m), start=1):
+        residual = sum(s * v for s, v in zip(row, values))
+        if residual != 0:
+            expected.append((L, residual))
+    check = in_free_span(values, m)
+    assert check.violations == tuple(expected)
+    assert check.in_span == (not expected)
+

@@ -292,3 +292,72 @@ def test_fwht_rejects_bad_length():
         fwht([1, 2, 3])
     with pytest.raises(ValueError):
         fwht([])
+
+
+# --- Exactness across the int64 route boundary ----------------------------------
+
+INT64_BOUND = 1 << 63
+
+
+def _assert_ints(values):
+    assert all(type(v) is int for v in values)
+
+
+def test_fwht_l1_norm_just_below_int64_bound():
+    values = [1 << 62, -((1 << 62) - 7), 1, -1, 1, -1, 1, -1]
+    assert sum(map(abs, values)) == INT64_BOUND - 1
+    out = fwht(values)
+    assert out == naive_wht(values)
+    _assert_ints(out)
+    assert max(map(abs, out)) == INT64_BOUND - 1
+
+
+def test_fwht_l1_norm_at_int64_bound():
+    values = [1 << 62, 1 << 62, 0, 0]
+    assert sum(map(abs, values)) == INT64_BOUND
+    out = fwht(values)
+    assert out == naive_wht(values)
+    assert out[0] == INT64_BOUND
+    _assert_ints(out)
+
+
+def test_fwht_far_beyond_int64_bound():
+    rng = random.Random(70)
+    values = [rng.randint(-(1 << 70), 1 << 70) for _ in range(64)]
+    assert sum(map(abs, values)) > INT64_BOUND
+    out = fwht(values)
+    assert out == naive_wht(values)
+    _assert_ints(out)
+
+
+def test_fwht_large_coprime_denominators():
+    primes = [1_000_003, 1_000_033, 1_000_037, 1_000_039,
+              1_000_081, 1_000_099, 1_000_117, 1_000_121]
+    rng = random.Random(13)
+    values = [Fraction(rng.randint(-(10**9), 10**9), p) for p in primes]
+    out = fwht(values)
+    assert out == naive_wht(values)
+    assert all(type(v) is Fraction for v in out)
+    assert fwht(out) == [8 * v for v in values]
+
+
+def test_fwht_mixed_int_and_fraction():
+    values = [3, Fraction(1, 2), -7, Fraction(-5, 3), 0, 1 << 40, Fraction(9, 4), 2]
+    out = fwht(values)
+    assert out == naive_wht(values)
+    assert all(type(v) is Fraction for v in out)
+
+
+def test_fwht_return_types():
+    _assert_ints(fwht([1, -2, 3, 4]))
+    out = fwht([Fraction(1), Fraction(-2), Fraction(3), Fraction(4)])
+    assert all(type(v) is Fraction for v in out)
+    assert out == [6, 2, -8, 4]
+
+
+def test_fwht_rejects_inexact_entries():
+    with pytest.raises(TypeError):
+        fwht([1.0, 2.0])
+    with pytest.raises(TypeError):
+        fwht([Fraction(1), 0.5])
+
