@@ -35,8 +35,6 @@ report = find_hadamard_column_sets(8, limit=1)
 print(f"  found {solution} after {report.nodes} nodes in {report.elapsed:.2f}s")
 print(f"  verify_column_set: {verify_column_set(8, solution)}")
 
-print("\nSame search, normalized to force the all-ones column, 4 workers:")
-report = find_hadamard_column_sets(
-    8, limit=1, options=SearchOptions(workers=4, force_first_column=True)
-)
+print("\nSame search, normalized to force the all-ones column:")
+report = find_hadamard_column_sets(8, limit=1, options=SearchOptions(force_first_column=True))
 print(f"  found {report.solutions[0]} (normalized={report.normalized})")

