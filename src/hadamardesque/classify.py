@@ -5,9 +5,9 @@ truth-table column: all coordinates of a column share one modulus and the
 leading coordinate is positive.  Such a matrix is summarised exactly by its
 representation vector (one nonnegative rational weight per truth column,
 the sum of squared scales), and every pairwise row dot product is the dot
-product of that vector with one pair-product row.  Orthogonality of rows is
-therefore a spectral condition: the Walsh spectrum of the representation
-vector must vanish on every pair mask.
+product of that vector with one pair-product row: a sum over the matrix's
+columns of weight times the two rows' signs.  Rows are orthogonal exactly
+when every such pair sum vanishes, i.e. the vector lies in the free span.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ from .errors import ResourceLimitError, ShapeError
 from .scalars import SqrtRational
 from .walsh import (
     MAX_VECTOR_M,
+    _pair_sums,
     _rational_numerators,
     column_from_signs,
     column_signs,
-    fwht,
     pair_count,
     pair_rows,
-    pair_to_mask,
 )
 
 DEFAULT_FLOAT_TOL = 1e-9
@@ -106,8 +105,6 @@ class RepresentationVector:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if not 1 <= self.m <= MAX_VECTOR_M:
-            raise ValueError(f"order m={self.m} out of range [1, {MAX_VECTOR_M}]")
         if len(self.values) != 1 << (self.m - 1):
             raise ValueError(
                 f"expected {1 << (self.m - 1)} coordinates for m={self.m}, got {len(self.values)}"
@@ -244,42 +241,36 @@ def to_hadamardesque(matrix: DenseMatrix, tol: float | None = None) -> Hadamarde
 # Representation vectors and dot products
 
 
-def _weight_numerators(matrix: HadamardesqueMatrix) -> tuple[list[int], int]:
-    """Representation weights as integer numerators over one common denominator."""
-    if matrix.m > MAX_VECTOR_M:
-        raise ValueError(f"order m={matrix.m} exceeds the vector cap {MAX_VECTOR_M}")
+def _column_weights(matrix: HadamardesqueMatrix) -> tuple[list[int], list[int], int]:
+    """Truth column index and weight numerator of every column, over one common denominator."""
     den = lcm(*{col.q.denominator for col in matrix.columns})
-    numerators = [0] * (1 << (matrix.m - 1))
-    for col in matrix.columns:
-        q = col.q
-        numerators[col.index - 1] += q.numerator * (den // q.denominator) * col.multiplicity
-    return numerators, den
+    numerators = [c.q.numerator * (den // c.q.denominator) * c.multiplicity for c in matrix.columns]
+    return [col.index for col in matrix.columns], numerators, den
 
 
 def column_representation(matrix: HadamardesqueMatrix) -> RepresentationVector:
     """Sum the squared scales of every occurrence of each truth column."""
-    numerators, den = _weight_numerators(matrix)
+    if matrix.m > MAX_VECTOR_M:
+        raise ResourceLimitError(f"weight vector refused for m={matrix.m} > cap {MAX_VECTOR_M}")
+    indices, numerators, den = _column_weights(matrix)
+    sums = [0] * (1 << (matrix.m - 1))
+    for j, x in zip(indices, numerators):
+        sums[j - 1] += x
     zero = Fraction(0)
-    return RepresentationVector(
-        matrix.m, tuple(Fraction(x, den) if x else zero for x in numerators)
-    )
+    return RepresentationVector(matrix.m, tuple(Fraction(x, den) if x else zero for x in sums))
 
 
 def pairwise_dots(matrix: HadamardesqueMatrix) -> PairwiseDots:
-    """Exact pairwise row dot products, via the representation spectrum.
+    """Exact pairwise row dot products.
 
-    The dot product of rows (i, j) equals the dot product of the
-    representation vector with the pair-product row for (i, j), which is one
-    Walsh spectrum coordinate.
+    The dot product of rows (i, j) is the sum over the matrix's truth
+    columns of weight times s_i * s_j: the dot product of the
+    representation vector with the pair-product row for (i, j).
     """
     if matrix.m < 2:
         raise ValueError("pairwise dots need at least two rows")
-    numerators, den = _weight_numerators(matrix)
-    spectrum = fwht(numerators)
-    values = tuple(
-        Fraction(spectrum[pair_to_mask(matrix.m, L)], den)
-        for L in range(1, pair_count(matrix.m) + 1)
-    )
+    indices, numerators, den = _column_weights(matrix)
+    values = tuple(Fraction(x, den) for x in _pair_sums(matrix.m, indices, numerators))
     return PairwiseDots(matrix.m, values)
 
 
@@ -307,20 +298,18 @@ def in_free_span(v, m: int | None = None) -> SpanCheck:
     violating pair indices are returned with their residual dot products.
     """
     order, values = _as_vector(v, m)
-    return _span_check(order, *_rational_numerators(values))
+    numerators, den = _rational_numerators(values)
+    return _span_check(order, range(1, len(numerators) + 1), numerators, den)
 
 
-def _span_check(m: int, numerators: list[int], den: int) -> SpanCheck:
-    """Free-span test of the vector numerators / den."""
-    if m == 1:
-        return SpanCheck(True, ())
-    spectrum = fwht(numerators)
-    violations = []
-    for L in range(1, pair_count(m) + 1):
-        residual = spectrum[pair_to_mask(m, L)]
-        if residual:
-            violations.append((L, Fraction(residual, den)))
-    return SpanCheck(not violations, tuple(violations))
+def _span_check(m: int, indices, numerators: list[int], den: int) -> SpanCheck:
+    """Free-span test of the weights numerators / den on truth columns indices."""
+    violations = tuple(
+        (L, Fraction(residual, den))
+        for L, residual in enumerate(_pair_sums(m, indices, numerators), start=1)
+        if residual
+    )
+    return SpanCheck(not violations, violations)
 
 
 def same_pairwise_dots(v: RepresentationVector, w: RepresentationVector) -> SpanCheck:
@@ -336,7 +325,7 @@ def same_pairwise_dots(v: RepresentationVector, w: RepresentationVector) -> Span
     den = lcm(v_den, w_den)
     v_scale, w_scale = den // v_den, den // w_den
     diff = [a * v_scale - b * w_scale for a, b in zip(v_nums, w_nums)]
-    return _span_check(v.m, diff, den)
+    return _span_check(v.m, range(1, len(diff) + 1), diff, den)
 
 
 # ---------------------------------------------------------------------------
@@ -366,19 +355,19 @@ def is_hadamard(matrix: DenseMatrix) -> bool:
 def is_partial_hadamard(matrix: DenseMatrix) -> bool:
     """Entries +-1 and rows pairwise orthogonal; the matrix may be rectangular.
 
-    The direct dot-product verdict is cross-checked against the spectral
-    criterion (representation vector in the free span); the two are
-    equivalent, so a mismatch signals an internal error.
+    The direct dot-product verdict is cross-checked against the pair sums
+    of the factored columns (representation vector in the free span); the
+    two are equivalent, so a mismatch signals an internal error.
     """
     if not _entries_unit(matrix):
         return False
     if matrix.rows < 2:
         return True
     direct = _direct_row_dots_zero(matrix)
-    rep = column_representation(to_hadamardesque(matrix))
-    spectral = bool(in_free_span(rep))
-    if direct != spectral:
-        raise RuntimeError("direct and spectral orthogonality tests disagree")
+    indices, numerators, _ = _column_weights(to_hadamardesque(matrix))
+    in_span = not any(_pair_sums(matrix.rows, indices, numerators))
+    if direct != in_span:
+        raise RuntimeError("direct and free-span orthogonality tests disagree")
     return direct
 
 
@@ -389,15 +378,16 @@ class SquareClassification:
     * hadamard: entries +-1 and rows pairwise orthogonal (direct test).
     * sign_matrix_in_span: the matrix factors into weighted truth columns,
       has +-1 entries, and its representation vector lies in the free span.
-    * lattice_point_in_span: the representation vector is a 0/1 vector with
-      exactly m ones, and lies in the free span.
+    * lattice_point_in_span: the representation vector has m support
+      entries, all of weight 1, and lies in the free span.  `representation`
+      is that support as sorted (index, weight) pairs, None if unfactored.
     """
 
     order: int
     hadamard: bool
     sign_matrix_in_span: bool
     lattice_point_in_span: bool
-    representation: RepresentationVector | None
+    representation: tuple[tuple[int, Fraction], ...] | None
     flipped_columns: tuple[int, ...]
     violations: tuple[tuple[int, Fraction], ...]
 
@@ -414,7 +404,7 @@ class SquareClassification:
             "verdicts_agree": self.verdicts_agree,
             "representation": None
             if self.representation is None
-            else [str(v) for v in self.representation.values],
+            else [[j, str(w)] for j, w in self.representation],
             "flipped_columns": list(self.flipped_columns),
             "violations": [
                 {"pair": L, "rows": list(pair_rows(L)), "residual": str(r)}
@@ -429,31 +419,22 @@ def classify_square(matrix: DenseMatrix) -> SquareClassification:
         raise ValueError(f"classification needs a square matrix, got {matrix.shape}")
     m = matrix.rows
     direct = is_hadamard(matrix)
-
-    rep = None
-    flipped: tuple[int, ...] = ()
-    violations: tuple[tuple[int, Fraction], ...] = ()
-    sign_in_span = False
-    lattice = False
     try:
         factored = factor_columns(matrix, None if matrix.is_exact else DEFAULT_FLOAT_TOL)
     except ShapeError:
-        factored = None
-    if factored is not None:
-        rep = column_representation(factored.matrix)
-        flipped = factored.flipped_columns
-        span = in_free_span(rep)
-        violations = span.violations
-        sign_in_span = _entries_unit(matrix) and span.in_span
-        ones = sum(1 for v in rep.values if v == 1)
-        zeros = sum(1 for v in rep.values if v == 0)
-        lattice = ones == m and ones + zeros == len(rep.values) and span.in_span
+        return SquareClassification(m, direct, False, False, None, (), ())
+    indices, numerators, den = _column_weights(factored.matrix)
+    support: dict[int, int] = {}
+    for j, x in zip(indices, numerators):
+        support[j] = support.get(j, 0) + x
+    rep = tuple((j, Fraction(support[j], den)) for j in sorted(support))
+    span = _span_check(m, indices, numerators, den)
     return SquareClassification(
         order=m,
         hadamard=direct,
-        sign_matrix_in_span=sign_in_span,
-        lattice_point_in_span=lattice,
+        sign_matrix_in_span=_entries_unit(matrix) and span.in_span,
+        lattice_point_in_span=len(rep) == m and all(w == 1 for _, w in rep) and span.in_span,
         representation=rep,
-        flipped_columns=flipped,
-        violations=violations,
+        flipped_columns=factored.flipped_columns,
+        violations=span.violations,
     )

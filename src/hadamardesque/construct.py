@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .classify import HadamardesqueMatrix, RepresentationVector, WeightedColumn, PairwiseDots
-from .errors import InfeasibleError
+from .errors import InfeasibleError, ResourceLimitError
 from .scalars import SqrtRational
 from .walsh import MAX_VECTOR_M, _rational_numerators, fwht, pair_count, pair_to_mask
 
@@ -105,7 +105,7 @@ def construct_crv(m: int, a: Sequence, options: ConstructionOptions | None = Non
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     if m > MAX_VECTOR_M:
-        raise ValueError(f"m={m} exceeds the vector cap {MAX_VECTOR_M}")
+        raise ResourceLimitError(f"weight vector refused for m={m} > cap {MAX_VECTOR_M}")
     target = _target_fractions(m, a)
     n = 1 << (m - 1)
     explicit = not isinstance(opts.shift, str)

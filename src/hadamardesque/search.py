@@ -27,14 +27,14 @@ permutation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import in_free_span, is_hadamard
+from .classify import is_hadamard
 from .dense import DenseMatrix
 from .errors import ResourceLimitError
-from .walsh import pair_count, pair_to_mask, truth_table_entry
+from .walsh import _pair_block, _pair_sums, pair_count, truth_table_entry
 
 ENGINE_ORDER_CAP = 28
 ENGINE_TABLE_BUDGET = 1 << 27  # pair-product table entries (int8 bytes)
@@ -99,30 +99,27 @@ def pair_sign_table(m: int) -> np.ndarray:
             f"pair-sign table for m={m} needs {n_pairs * n_cols} entries, "
             f"over the budget {ENGINE_TABLE_BUDGET}"
         )
-    masks = np.array([pair_to_mask(m, L) for L in range(1, n_pairs + 1)], dtype=np.int64)
-    cols = np.arange(n_cols, dtype=np.int64)
-    bits = masks[:, None] & cols[None, :]
-    for shift in (32, 16, 8, 4, 2, 1):
-        bits ^= bits >> shift
-    return (1 - 2 * (bits & 1)).astype(np.int8)
+    return _pair_block(m, range(1, n_cols + 1))
 
 
 class _Stop(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
+    """Ends a run; its one argument is the budget that fired."""
 
 
+@dataclass(slots=True)
 class _Run:
-    """Node count, solutions and budgets of one search run."""
+    """Node count, solutions, budgets and solution callback of one search run."""
 
-    __slots__ = ("nodes", "node_limit", "deadline", "solutions", "solution_limit")
-
-    def __init__(self, node_limit, deadline, solution_limit):
-        self.nodes = 0
-        self.node_limit = node_limit
-        self.deadline = deadline
-        self.solutions = []
-        self.solution_limit = solution_limit
+    m: int
+    node_limit: int | None
+    deadline: float | None
+    solution_limit: int | None
+    on_solution: object
+    nodes: int = 0
+    solutions: list = field(default_factory=list)
+    bound: np.ndarray | None = None  # flat DFS scratch, one entry per table entry
+    fits: np.ndarray | None = None
+    views: dict = field(default_factory=dict)  # segment shape -> (bound, fits) views
 
     def visit(self):
         # Check before counting: a run never reports more than node_limit
@@ -134,7 +131,11 @@ class _Run:
         self.nodes += 1
 
     def emit(self, chosen: tuple[int, ...]):
+        if not verify_column_set(self.m, chosen):
+            raise RuntimeError(f"engine emitted a non-solution {chosen} for m={self.m}")
         self.solutions.append(chosen)
+        if self.on_solution is not None:
+            self.on_solution(chosen)
         if self.solution_limit is not None and len(self.solutions) >= self.solution_limit:
             raise _Stop("solutions")
 
@@ -145,23 +146,27 @@ def _dfs(table: np.ndarray, chosen: tuple[int, ...], sums: np.ndarray, start: in
         if not np.any(sums):
             run.emit(chosen)
         return
-    n_cols = table.shape[1]
-    hi = n_cols - remaining + 1  # last index leaving room for the rest
+    hi = table.shape[1] - remaining + 1  # last index leaving room for the rest
     if start > hi:
         return
     segment = table[:, start - 1 : hi]
-    candidates = sums[:, None] + segment
     if prune:
         # Sums have the parity of the chosen-column count, so for even m the
         # bound check below is the whole parity-aware prune (odd m never
-        # leaves the root).
-        feasible = np.flatnonzero((np.abs(candidates) <= remaining - 1).all(axis=0))
+        # leaves the root).  It runs in contiguous views of flat scratch: fresh
+        # temporaries per node would each be an mmap in glibc malloc.
+        if (views := run.views.get(segment.shape)) is None:
+            size, shape = segment.size, segment.shape
+            views = run.views[shape] = run.bound[:size].reshape(shape), run.fits[:size].reshape(shape)
+        bound, fits = views  # outputs passed by position: out= costs ~5 us per node
+        np.abs(np.add(sums[:, None], segment, bound), bound)
+        feasible = np.flatnonzero(np.less_equal(bound, remaining - 1, fits).all(axis=0))
     else:
-        feasible = np.arange(hi - start + 1)
+        feasible = range(segment.shape[1])
     for offset in feasible:
         run.visit()
         j = start + int(offset)
-        _dfs(table, chosen + (j,), candidates[:, offset], j + 1, remaining - 1, prune, run)
+        _dfs(table, chosen + (j,), sums + segment[:, offset], j + 1, remaining - 1, prune, run)
 
 
 def find_hadamard_column_sets(m: int, limit: int | None = None,
@@ -169,10 +174,11 @@ def find_hadamard_column_sets(m: int, limit: int | None = None,
                               on_solution=None) -> SearchReport:
     """Stream all m-subsets of truth columns that form a Hadamard matrix.
 
-    Every emitted solution is triple-checked: its pair sums are zero, its
-    0/1 weight vector passes the free-span test, and its dense matrix passes
-    the direct Hadamard test.  The report says whether the tree was fully
-    explored and which budget (if any) cut the run short.
+    Every solution is triple-checked as soon as it is found, then handed to
+    `on_solution`: its running pair sums are zero, verify_column_set's pair
+    sums vanish, and its dense matrix passes the direct Hadamard test.  The
+    report says whether the tree was fully explored and which budget (if
+    any) cut the run short.
     """
     opts = options or SearchOptions()
     if not 2 <= m <= ENGINE_ORDER_CAP:
@@ -181,12 +187,13 @@ def find_hadamard_column_sets(m: int, limit: int | None = None,
         raise ValueError(f"solution limit must be >= 1, got {limit}")
     started = time.monotonic()
     deadline = None if opts.time_limit is None else started + opts.time_limit
-    run = _Run(opts.node_limit, deadline, limit)
+    run = _Run(m, opts.node_limit, deadline, limit, on_solution)
     reason = None
     # Parity of the final pair sums equals the parity of m: odd orders are
     # exhausted at the root without expanding anything.
     if not (opts.prune and m % 2):
         table = pair_sign_table(m)
+        run.bound, run.fits = np.empty(table.size, np.int16), np.empty(table.size, bool)
         try:
             if opts.force_first_column:
                 run.visit()
@@ -195,27 +202,17 @@ def find_hadamard_column_sets(m: int, limit: int | None = None,
                 sums = np.zeros(table.shape[0], dtype=np.int16)
                 _dfs(table, (), sums, 1, m, opts.prune, run)
         except _Stop as stop:
-            reason = stop.reason
+            reason = stop.args[0]
 
-    solutions = tuple(run.solutions)
-    for sol in solutions:
-        _verify_emitted(m, sol)
-        if on_solution is not None:
-            on_solution(sol)
     return SearchReport(
         m=m,
-        solutions=solutions,
+        solutions=tuple(run.solutions),
         nodes=run.nodes,
         elapsed=time.monotonic() - started,
         exhaustive=reason is None,
         limit_fired=reason,
         normalized=opts.force_first_column,
     )
-
-
-def _verify_emitted(m: int, columns: tuple[int, ...]) -> None:
-    if not verify_column_set(m, columns):
-        raise RuntimeError(f"engine emitted a non-solution {columns} for m={m}")
 
 
 def verify_column_set(m: int, columns) -> bool:
@@ -232,10 +229,7 @@ def verify_column_set(m: int, columns) -> bool:
     if any(not 1 <= j <= n for j in cols):
         raise IndexError(f"column index out of range [1, {n}]")
     size_ok = len(cols) == m
-    indicator = [0] * n
-    for j in cols:
-        indicator[j - 1] = 1
-    span_ok = bool(in_free_span(indicator, m))
+    span_ok = not any(_pair_sums(m, cols, [1] * len(cols)))
     dense_ok = is_hadamard(column_set_matrix(m, cols))
     if size_ok and span_ok != dense_ok:
         raise RuntimeError("span and dense Hadamard verdicts disagree")

@@ -262,18 +262,50 @@ def test_is_partial_hadamard():
     assert is_partial_hadamard(DenseMatrix(((1, 1, 1, 1),)))  # single row, vacuous
 
 
+def test_is_partial_hadamard_order_32():
+    h32 = sylvester(5)
+    assert is_partial_hadamard(h32)
+    assert is_partial_hadamard(DenseMatrix(h32.entries[:31]))
+    flipped = [list(row) for row in h32.entries]
+    flipped[7][11] = -flipped[7][11]
+    assert not is_partial_hadamard(DenseMatrix(tuple(map(tuple, flipped))))
+
+
+# The nonzero coordinates of REMARK_CRV, as (truth column index, weight).
+REMARK_SUPPORT = tuple((j, w) for j, w in enumerate(goldens.REMARK_CRV, start=1) if w)
+
+
 def test_classify_h4():
     report = classify_square(DenseMatrix(goldens.H4))
     assert report.hadamard
     assert report.sign_matrix_in_span
     assert report.lattice_point_in_span
     assert report.verdicts_agree
-    assert report.representation.values == goldens.REMARK_CRV
+    assert report.representation == REMARK_SUPPORT
 
 
 def test_classify_h8():
     report = classify_square(sylvester(3))
     assert report.hadamard and report.sign_matrix_in_span and report.lattice_point_in_span
+
+
+@pytest.mark.parametrize("k", (5, 6, 7))
+def test_classify_large_sylvester(k):
+    report = classify_square(sylvester(k))
+    assert report.hadamard and report.sign_matrix_in_span and report.lattice_point_in_span
+    assert report.violations == ()
+
+
+def test_classify_order_32_with_one_flipped_sign():
+    entries = [list(row) for row in sylvester(5).entries]
+    entries[7][11] = -entries[7][11]
+    report = classify_square(DenseMatrix(tuple(map(tuple, entries))))
+    assert not report.hadamard
+    assert not report.sign_matrix_in_span
+    assert not report.lattice_point_in_span
+    dots = row_dots(entries)
+    assert report.violations == tuple((L, d) for L, d in enumerate(dots, start=1) if d)
+    assert len(report.violations) == 31
 
 
 def test_classify_constant_matrix():
@@ -325,4 +357,4 @@ def test_classification_record_is_json_serializable():
     record = classify_square(DenseMatrix(goldens.H4)).to_record()
     parsed = json.loads(json.dumps(record))
     assert parsed["hadamard"] is True
-    assert parsed["representation"] == [str(v) for v in goldens.REMARK_CRV]
+    assert parsed["representation"] == [[j, str(w)] for j, w in REMARK_SUPPORT]

@@ -109,7 +109,7 @@ def test_classify_hadamard(capsys, tmp_path):
     assert record["verdicts_agree"]
 
 
-@pytest.mark.parametrize("k", (1, 2, 3, 4))
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 5))
 def test_classify_sylvester_orders(capsys, tmp_path, k):
     code, out, _ = run(capsys, "gen-hadamard", str(k))
     assert code == 0
@@ -303,6 +303,31 @@ def test_malformed_matrix_names_line(capsys, tmp_path):
 def test_resource_limit_exit_code(capsys):
     code, _, err = run(capsys, "truth-table", "20")
     assert code == 4
+    assert err.startswith("resource limit:")
+
+
+@pytest.fixture
+def ones_column_31(tmp_path):
+    path = tmp_path / "ones31.txt"
+    path.write_text("31 1\n" + "1\n" * 31)
+    return str(path)
+
+
+def test_dots_of_a_tall_matrix_are_computed(capsys, ones_column_31):
+    code, out, _ = run(capsys, "dots", ones_column_31)
+    assert code == 0
+    assert out.split() == ["1"] * 465
+
+
+def test_crv_of_a_tall_matrix_is_a_resource_limit(capsys, ones_column_31):
+    code, out, err = run(capsys, "crv", ones_column_31)
+    assert (code, out) == (4, "")
+    assert err.startswith("resource limit:")
+
+
+def test_construct_of_a_tall_matrix_is_a_resource_limit(capsys):
+    code, out, err = run(capsys, "construct", "31", ",".join(["0"] * 465))
+    assert (code, out) == (4, "")
     assert err.startswith("resource limit:")
 
 

@@ -1,10 +1,12 @@
 """Invariants checked over generated inputs."""
 
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from oracles import pair_products_by_rows
+from hadamardesque import walsh
 from hadamardesque import (
     ConstructionOptions,
     HadamardesqueMatrix,
@@ -142,3 +144,31 @@ def test_in_free_span_residuals_are_pair_row_sums(m, data):
     assert check.violations == tuple(expected)
     assert check.in_span == (not expected)
 
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=2, max_value=9),
+    st.booleans(),
+    st.sampled_from((None, (1 << 63) - 1, 1 << 63, (1 << 70) + 12345)),
+    st.data(),
+)
+def test_pair_sums_are_pair_row_sums(m, column_route, l1_norm, data):
+    # Lists shorter than 2^m / m columns take the column route (a Gram
+    # product of the sign block); longer lists take the dense FWHT.
+    n_max = 1 << (m - 1)
+    crossover = -(-(1 << m) // m)
+    sizes = st.integers(1, crossover - 1) if column_route else st.integers(crossover, crossover + n_max)
+    n = data.draw(sizes)
+    indices = data.draw(st.lists(st.integers(1, n_max), min_size=n, max_size=n))
+    weights = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    if l1_norm is not None:
+        rest = sum(abs(w) for w in weights[:-1])
+        weights[-1] = data.draw(st.sampled_from((1, -1))) * (l1_norm - rest)
+        assert sum(abs(w) for w in weights) == l1_norm
+    expected = [
+        sum(w * row[j - 1] for j, w in zip(indices, weights))
+        for row in pair_products_by_rows(m)
+    ]
+    with mock.patch.object(walsh, "_int_fwht", wraps=walsh._int_fwht) as dense_route:
+        assert walsh._pair_sums(m, indices, weights) == expected
+    assert dense_route.called == (not column_route)

@@ -6,14 +6,17 @@ import pytest
 
 import goldens
 from oracles import brute_force_column_sets, row_dots
+from hadamardesque import search
 from hadamardesque import (
     SearchOptions,
+    column_from_signs,
     column_set_matrix,
     column_signs,
     find_hadamard_column_sets,
     is_hadamard,
     pair_sign_table,
     pairwise_products,
+    sylvester,
     verify_column_set,
 )
 
@@ -65,6 +68,22 @@ def test_solution_limit():
     assert report.solutions == ((1, 4, 6, 7),)
     assert report.limit_fired == "solutions"
     assert not report.exhaustive
+
+
+def test_solutions_stream_before_the_search_ends(monkeypatch):
+    visits = []
+    visit = search._Run.visit
+
+    def counting_visit(run):
+        visit(run)
+        visits.append(run.nodes)
+
+    monkeypatch.setattr(search._Run, "visit", counting_visit)
+    seen_at = []
+    report = find_hadamard_column_sets(4, on_solution=lambda columns: seen_at.append(len(visits)))
+    assert report.solutions == goldens.M4_SOLUTIONS
+    assert len(seen_at) == 2
+    assert seen_at[0] < report.nodes == len(visits) == 27
 
 
 def test_node_limit_partial():
@@ -163,6 +182,14 @@ def test_verify_column_set():
         verify_column_set(4, (1, 1, 6, 7))
     with pytest.raises(IndexError):
         verify_column_set(4, (1, 4, 6, 9))
+
+
+def test_verify_column_set_order_32():
+    h32 = sylvester(5)
+    columns = [column_from_signs(h32.column(j)) for j in range(1, 33)]
+    assert verify_column_set(32, columns)
+    # No Hadamard matrix has a column negative on every row but the first.
+    assert not verify_column_set(32, columns[:-1] + [1 << 31])
 
 
 def test_engine_range_checks():

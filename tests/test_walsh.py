@@ -146,8 +146,8 @@ def test_truth_table_guards():
         truth_table_entry(3, 1, 5)
     with pytest.raises(ResourceLimitError):
         truth_table(17)
-    with pytest.raises(ValueError):
-        truth_table(31, cap=40)  # over the vector-length cap
+    with pytest.raises(ResourceLimitError):
+        truth_table(31)
 
 
 # --- Pair indexing and masks ------------------------------------------------
