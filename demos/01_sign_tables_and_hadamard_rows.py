@@ -9,7 +9,6 @@ down by a single integer bitmask.
 from hadamardesque import (
     format_matrix,
     free_masks,
-    hadamard_entry,
     pair_masks,
     pair_product_table,
     pair_rows,
@@ -39,7 +38,7 @@ print(format_matrix(pair_product_table(m)))
 for linear in range(1, m * (m - 1) // 2 + 1):
     i, j = pair_rows(linear)
     mask = pair_to_mask(m, linear)
-    row = [hadamard_entry(mask, col) for col in range(1, n + 1)]
+    row = list(sylvester(m - 1).row(mask + 1))
     print(f"  rows ({i},{j}) -> Hadamard row {mask + 1}: {row}")
 
 print()

@@ -51,20 +51,15 @@ from .walsh import (
     column_signs,
     free_masks,
     fwht,
-    hadamard_entry,
-    kronecker,
     pair_count,
     pair_index,
     pair_masks,
-    pair_product_entry,
     pair_product_table,
     pair_rows,
     pair_to_mask,
-    pairwise_products,
     row_mask,
     sylvester,
     truth_table,
-    truth_table_entry,
 )
 
 __version__ = "0.1.0"
@@ -101,21 +96,17 @@ __all__ = [
     "format_scalar",
     "free_masks",
     "fwht",
-    "hadamard_entry",
     "in_free_span",
     "is_hadamard",
     "is_partial_hadamard",
-    "kronecker",
     "pair_count",
     "pair_index",
     "pair_masks",
-    "pair_product_entry",
     "pair_product_table",
     "pair_rows",
     "pair_sign_table",
     "pair_to_mask",
     "pairwise_dots",
-    "pairwise_products",
     "parse_matrix",
     "parse_scalar",
     "realize_canonical",
@@ -126,6 +117,5 @@ __all__ = [
     "sylvester",
     "to_hadamardesque",
     "truth_table",
-    "truth_table_entry",
     "verify_column_set",
 ]

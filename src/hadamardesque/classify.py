@@ -23,8 +23,8 @@ from .walsh import (
     MAX_VECTOR_M,
     _pair_sums,
     _rational_numerators,
+    _sign_block,
     column_from_signs,
-    column_signs,
     pair_count,
     pair_rows,
 )
@@ -87,13 +87,12 @@ class HadamardesqueMatrix:
             raise ResourceLimitError(
                 f"dense expansion to {self.n} columns exceeds the cap {max_columns}"
             )
-        cols = []
-        for col in self.columns:
-            scale = col.scale
-            signs = column_signs(self.m, col.index)
-            expanded = tuple(s * scale for s in signs)
-            cols.extend([expanded] * col.multiplicity)
-        rows = tuple(tuple(c[k] for c in cols) for k in range(self.m))
+        scales = [(col.scale, col.multiplicity) for col in self.columns]
+        signs = _sign_block(self.m, [col.index for col in self.columns]).tolist()
+        rows = tuple(
+            tuple(entry for s, (scale, times) in zip(row, scales) for entry in [s * scale] * times)
+            for row in signs
+        )
         return DenseMatrix.from_rows(rows)
 
 
@@ -105,10 +104,10 @@ class RepresentationVector:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if len(self.values) != 1 << (self.m - 1):
-            raise ValueError(
-                f"expected {1 << (self.m - 1)} coordinates for m={self.m}, got {len(self.values)}"
-            )
+        n = len(self.values)
+        # n = 2^(m-1) tested by bit length: shifting by a huge m can exhaust memory.
+        if self.m < 1 or n.bit_length() != self.m or n & (n - 1):
+            raise ValueError(f"expected 2^{self.m - 1} coordinates for m={self.m}, got {n}")
         values = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.values)
         object.__setattr__(self, "values", values)
         if any(v.numerator < 0 for v in values):

@@ -36,7 +36,7 @@ FLAVORS = ("canonical", "rational", "irrational")
 
 @dataclass(frozen=True)
 class ConstructionOptions:
-    """Shift policy, realization flavor, and output expansion.
+    """Shift policy and realization flavor.
 
     shift: "minimal" (smallest exact shift), "minimal-integer" (smallest
     integer shift), or an explicit nonnegative-making value.
@@ -44,7 +44,6 @@ class ConstructionOptions:
 
     shift: object = "minimal"
     flavor: str = "canonical"
-    expand: bool = False
 
     def __post_init__(self):
         if self.flavor not in FLAVORS:
@@ -181,12 +180,10 @@ def realize_uniform_irrational(m: int, a: Sequence, options: ConstructionOptions
 
 
 def construct_matrix(m: int, a: Sequence, options: ConstructionOptions | None = None):
-    """Dispatch on the requested flavor; honours options.expand."""
+    """Dispatch on the requested flavor; returns a HadamardesqueMatrix."""
     opts = options or ConstructionOptions()
     if opts.flavor == "canonical":
-        result = realize_canonical(construct_crv(m, a, opts))
-    elif opts.flavor == "rational":
-        result = realize_uniform_rational(m, a, opts)
-    else:
-        result = realize_uniform_irrational(m, a, opts)
-    return result.dense() if opts.expand else result
+        return realize_canonical(construct_crv(m, a, opts))
+    if opts.flavor == "rational":
+        return realize_uniform_rational(m, a, opts)
+    return realize_uniform_irrational(m, a, opts)

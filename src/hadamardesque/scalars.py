@@ -217,16 +217,28 @@ def parse_scalar(token: str, *, mode: str = "exact"):
         value = SqrtRational.sqrt(radicand)
         if match.group(1) == "-":
             value = -value
-        return float(value) if mode == "float" else value
+        return _finite_float(value, token) if mode == "float" else value
     if _RATIONAL_RE.match(token):
         value = parse_rational(token)
-        return float(value) if mode == "float" else value
+        return _finite_float(value, token) if mode == "float" else value
     if mode == "exact":
         raise FormatError(f"malformed exact token {token!r}")
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise FormatError(f"malformed scalar token {token!r}") from None
+    return _finite_float(value, token)
+
+
+def _finite_float(value, token: str) -> float:
+    """float(value), refusing inf, nan and overflow: no exact weight exists for them."""
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise FormatError(f"non-finite scalar token {token!r}")
+    return out
 
 
 def is_exact_token(token: str) -> bool:

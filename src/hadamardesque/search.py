@@ -34,7 +34,7 @@ import numpy as np
 from .classify import is_hadamard
 from .dense import DenseMatrix
 from .errors import ResourceLimitError
-from .walsh import _pair_block, _pair_sums, pair_count, truth_table_entry
+from .walsh import _check_columns, _pair_block, _pair_sums, _sign_block, pair_count
 
 ENGINE_ORDER_CAP = 28
 ENGINE_TABLE_BUDGET = 1 << 27  # pair-product table entries (int8 bytes)
@@ -45,12 +45,11 @@ class SearchOptions:
     node_limit: int | None = None
     time_limit: float | None = None
     force_first_column: bool = False
-    prune: bool = True  # bound/parity pruning; disable only to measure node counts
 
     def __post_init__(self):
         for name in ("node_limit", "time_limit"):
             value = getattr(self, name)
-            if value is not None and value < 0:
+            if value is not None and not value >= 0:  # also rejects NaN
                 raise ValueError(f"{name} must be >= 0, got {value}")
 
 
@@ -81,11 +80,7 @@ class SearchReport:
 
 def column_set_matrix(m: int, columns) -> DenseMatrix:
     """Dense +-1 matrix whose columns are the given truth columns."""
-    cols = sorted(columns)
-    rows = tuple(
-        tuple(truth_table_entry(m, k, j) for j in cols) for k in range(1, m + 1)
-    )
-    return DenseMatrix(rows)
+    return DenseMatrix(tuple(map(tuple, _sign_block(m, sorted(columns)).tolist())))
 
 
 def pair_sign_table(m: int) -> np.ndarray:
@@ -141,7 +136,7 @@ class _Run:
 
 
 def _dfs(table: np.ndarray, chosen: tuple[int, ...], sums: np.ndarray, start: int,
-         remaining: int, prune: bool, run: _Run) -> None:
+         remaining: int, run: _Run) -> None:
     if remaining == 0:
         if not np.any(sums):
             run.emit(chosen)
@@ -150,23 +145,20 @@ def _dfs(table: np.ndarray, chosen: tuple[int, ...], sums: np.ndarray, start: in
     if start > hi:
         return
     segment = table[:, start - 1 : hi]
-    if prune:
-        # Sums have the parity of the chosen-column count, so for even m the
-        # bound check below is the whole parity-aware prune (odd m never
-        # leaves the root).  It runs in contiguous views of flat scratch: fresh
-        # temporaries per node would each be an mmap in glibc malloc.
-        if (views := run.views.get(segment.shape)) is None:
-            size, shape = segment.size, segment.shape
-            views = run.views[shape] = run.bound[:size].reshape(shape), run.fits[:size].reshape(shape)
-        bound, fits = views  # outputs passed by position: out= costs ~5 us per node
-        np.abs(np.add(sums[:, None], segment, bound), bound)
-        feasible = np.flatnonzero(np.less_equal(bound, remaining - 1, fits).all(axis=0))
-    else:
-        feasible = range(segment.shape[1])
+    # Sums have the parity of the chosen-column count, so for even m the
+    # bound check below is the whole parity-aware prune (odd m never leaves
+    # the root).  It runs in contiguous views of flat scratch: fresh
+    # temporaries per node would each be an mmap in glibc malloc.
+    if (views := run.views.get(segment.shape)) is None:
+        size, shape = segment.size, segment.shape
+        views = run.views[shape] = run.bound[:size].reshape(shape), run.fits[:size].reshape(shape)
+    bound, fits = views  # outputs passed by position: out= costs ~5 us per node
+    np.abs(np.add(sums[:, None], segment, bound), bound)
+    feasible = np.flatnonzero(np.less_equal(bound, remaining - 1, fits).all(axis=0))
     for offset in feasible:
         run.visit()
         j = start + int(offset)
-        _dfs(table, chosen + (j,), sums + segment[:, offset], j + 1, remaining - 1, prune, run)
+        _dfs(table, chosen + (j,), sums + segment[:, offset], j + 1, remaining - 1, run)
 
 
 def find_hadamard_column_sets(m: int, limit: int | None = None,
@@ -191,16 +183,16 @@ def find_hadamard_column_sets(m: int, limit: int | None = None,
     reason = None
     # Parity of the final pair sums equals the parity of m: odd orders are
     # exhausted at the root without expanding anything.
-    if not (opts.prune and m % 2):
+    if m % 2 == 0:
         table = pair_sign_table(m)
         run.bound, run.fits = np.empty(table.size, np.int16), np.empty(table.size, bool)
         try:
             if opts.force_first_column:
                 run.visit()
-                _dfs(table, (1,), table[:, 0].astype(np.int16), 2, m - 1, opts.prune, run)
+                _dfs(table, (1,), table[:, 0].astype(np.int16), 2, m - 1, run)
             else:
                 sums = np.zeros(table.shape[0], dtype=np.int16)
-                _dfs(table, (), sums, 1, m, opts.prune, run)
+                _dfs(table, (), sums, 1, m, run)
         except _Stop as stop:
             reason = stop.args[0]
 
@@ -225,12 +217,11 @@ def verify_column_set(m: int, columns) -> bool:
     cols = sorted(columns)
     if len(set(cols)) != len(cols):
         raise ValueError("column set contains duplicates")
-    n = 1 << (m - 1)
-    if any(not 1 <= j <= n for j in cols):
-        raise IndexError(f"column index out of range [1, {n}]")
-    size_ok = len(cols) == m
+    _check_columns(m, cols)
+    if len(cols) != m:
+        return False
     span_ok = not any(_pair_sums(m, cols, [1] * len(cols)))
     dense_ok = is_hadamard(column_set_matrix(m, cols))
-    if size_ok and span_ok != dense_ok:
+    if span_ok != dense_ok:
         raise RuntimeError("span and dense Hadamard verdicts disagree")
-    return size_ok and span_ok and dense_ok
+    return span_ok

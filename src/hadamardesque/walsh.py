@@ -1,13 +1,16 @@
-"""Bit-level oracles for sign tables and Sylvester Hadamard matrices.
+"""Sign tables and Sylvester Hadamard matrices, fixed by bitmasks.
 
 The truth table of order m is the m x 2^(m-1) matrix whose columns are all
 sign vectors (1, +-1, ..., +-1).  Column j encodes its signs in the bits of
-j-1: row k (k >= 2) is negative exactly when bit k-2 of j-1 is set.  With
-that convention, row k of the truth table is the Sylvester Hadamard row
-with mask 2^(k-2) (row 1 is mask 0), and the coordinatewise product of two
-truth rows is the Hadamard row whose mask is the XOR of theirs.  Everything
-here is exposed as O(1) entry oracles; dense tables are materialised only
-below a size cap, and pair sums cost what their column list costs.
+j-1: row k (k >= 2) is negative exactly when bit k-2 of j-1 is set.  One
+function, _sign_block, applies that rule; every +-1 table here and in the
+search engine is built from its output, and column_from_signs inverts it.
+With that convention, row k of the truth table is the Sylvester Hadamard
+row with mask 2^(k-2) (row 1 is mask 0), and the coordinatewise product of
+two truth rows is the Hadamard row whose mask is the XOR of theirs
+(row_mask, pair_to_mask).  Dense tables are materialised only below a size
+cap, single columns of any order come from column_signs, and pair sums cost
+what their column list costs.
 
 A useful identity (not an operation): permuting the truth columns permutes
 the columns of the pair-product table and of the Hadamard matrix the same
@@ -32,7 +35,7 @@ from .errors import ResourceLimitError
 MAX_VECTOR_M = 30
 # Default cap for dense truth/pair-product tables.
 DENSE_TABLE_CAP = 16
-# Default entry budget for dense Hadamard/Kronecker construction.
+# Default entry budget for dense Sylvester construction.
 DENSE_ENTRY_BUDGET = 1 << 22
 # An int64 butterfly cannot overflow while the input's l1 norm stays below this.
 _INT64_BOUND = 1 << 63
@@ -43,32 +46,20 @@ def _check_order(m: int) -> None:
         raise ValueError(f"order m must be a positive integer, got {m!r}")
 
 
-def _check_column(m: int, j: int) -> None:
-    if not 1 <= j <= 1 << (m - 1):
-        raise IndexError(f"column {j} out of range [1, {1 << (m - 1)}] for m={m}")
+def _check_columns(m: int, indices: Sequence[int]) -> None:
+    # Bit lengths, not 1 << (m - 1): a huge m must not build a huge int.
+    if indices and (min(indices) < 1 or (max(indices) - 1).bit_length() >= m):
+        raise IndexError(f"column index out of range [1, 2^{m - 1}] for m={m}")
 
 
 # ---------------------------------------------------------------------------
 # Sign columns and truth table
 
 
-def truth_table_entry(m: int, row: int, col: int) -> int:
-    """Entry of the order-m truth table at 1-based (row, col)."""
-    _check_order(m)
-    if not 1 <= row <= m:
-        raise IndexError(f"row {row} out of range [1, {m}]")
-    _check_column(m, col)
-    if row == 1:
-        return 1
-    return -1 if (col - 1) >> (row - 2) & 1 else 1
-
-
 def column_signs(m: int, j: int) -> tuple[int, ...]:
     """Column j of the truth table as a tuple of +-1 (leading +1)."""
     _check_order(m)
-    _check_column(m, j)
-    bits = j - 1
-    return (1,) + tuple(-1 if bits >> k & 1 else 1 for k in range(m - 1))
+    return tuple(_sign_block(m, [j])[:, 0].tolist())
 
 
 def column_from_signs(signs: Sequence[int]) -> int:
@@ -90,12 +81,31 @@ def column_from_signs(signs: Sequence[int]) -> int:
     return index + 1
 
 
+def _sign_block(m: int, indices: Sequence[int]) -> np.ndarray:
+    """int8 array of shape (m, len(indices)) holding truth columns `indices`."""
+    _check_columns(m, indices)
+    width = (m + 6) // 8  # bytes holding the m-1 sign bits of a column index
+    raw = b"".join(int(j - 1).to_bytes(width, "little") for j in indices)
+    packed = np.frombuffer(raw, np.uint8).reshape(len(indices), width)
+    bits = np.unpackbits(packed, axis=1, count=m - 1, bitorder="little")
+    block = np.ones((m, len(indices)), np.int8)
+    block[1:] -= 2 * bits.T.view(np.int8)
+    return block
+
+
+def _pair_block(m: int, indices: Sequence[int]) -> np.ndarray:
+    """int8 pair-product rows, in pair_index order, of truth columns `indices`."""
+    block = _sign_block(m, indices)
+    later, earlier = np.tril_indices(m, -1)
+    return block[earlier] * block[later]
+
+
 def truth_table(m: int) -> DenseMatrix:
     """Dense m x 2^(m-1) truth table (m at most DENSE_TABLE_CAP)."""
     _check_order(m)
     if m > DENSE_TABLE_CAP:
         raise ResourceLimitError(
-            f"dense truth table refused for m={m} > cap {DENSE_TABLE_CAP}; use the entry oracle"
+            f"dense truth table refused for m={m} > cap {DENSE_TABLE_CAP}; use column_signs"
         )
     block = _sign_block(m, range(1, (1 << (m - 1)) + 1))
     return DenseMatrix(tuple(map(tuple, block.tolist())))
@@ -136,16 +146,6 @@ def row_mask(k: int) -> int:
     return 0 if k == 1 else 1 << (k - 2)
 
 
-def hadamard_entry(mask: int, col: int) -> int:
-    """Entry of the Sylvester Hadamard row with the given mask at 1-based col.
-
-    Row mask+1 of the order-N Sylvester matrix is (-1)^popcount(mask & (col-1)).
-    """
-    if mask < 0 or col < 1:
-        raise IndexError(f"bad Hadamard position mask={mask}, col={col}")
-    return -1 if (mask & (col - 1)).bit_count() & 1 else 1
-
-
 def pair_to_mask(m: int, linear: int) -> int:
     """Hadamard row mask of the pair-product row with the given linear index."""
     if not 1 <= linear <= pair_count(m):
@@ -169,63 +169,16 @@ def free_masks(m: int) -> frozenset[int]:
     return frozenset(mask for mask in range(1 << (m - 1)) if mask not in used)
 
 
-# ---------------------------------------------------------------------------
-# Pairwise products
-
-
-def pairwise_products(v: Sequence) -> tuple:
-    """All products v_i * v_j for i < j, in pair_index order.
-
-    >>> pairwise_products((1, -1, 1))
-    (-1, 1, -1)
-    """
-    m = len(v)
-    if m < 2:
-        raise ValueError(f"need a vector of length >= 2, got {m}")
-    out = []
-    for j in range(1, m):
-        for i in range(j):
-            out.append(v[i] * v[j])
-    return tuple(out)
-
-
-def pair_product_entry(m: int, linear: int, col: int) -> int:
-    """Entry of the pair-product table: product of two truth-table rows."""
-    if not 1 <= linear <= pair_count(m):
-        raise IndexError(f"pair index {linear} out of range [1, {pair_count(m)}]")
-    _check_column(m, col)
-    i, j = pair_rows(linear)
-    return truth_table_entry(m, i, col) * truth_table_entry(m, j, col)
-
-
 def pair_product_table(m: int) -> DenseMatrix:
     """Dense m(m-1)/2 x 2^(m-1) table of columnwise pairwise products."""
     if pair_count(m) < 1:  # pair_count rejects non-integer and nonpositive m
         raise ValueError(f"need m >= 2, got {m}")
     if m > DENSE_TABLE_CAP:
         raise ResourceLimitError(
-            f"dense pair-product table refused for m={m} > cap {DENSE_TABLE_CAP}; use the entry oracle"
+            f"dense pair-product table refused for m={m} > cap {DENSE_TABLE_CAP}; use column_signs"
         )
     table = _pair_block(m, range(1, (1 << (m - 1)) + 1))
     return DenseMatrix(tuple(map(tuple, table.tolist())))
-
-
-def _sign_block(m: int, indices: Sequence[int]) -> np.ndarray:
-    """int8 array of shape (m, len(indices)) holding truth columns `indices`."""
-    width = (m + 6) // 8  # bytes holding the m-1 sign bits of a column index
-    raw = b"".join(int(j - 1).to_bytes(width, "little") for j in indices)
-    packed = np.frombuffer(raw, np.uint8).reshape(len(indices), width)
-    bits = np.unpackbits(packed, axis=1, count=m - 1, bitorder="little")
-    block = np.ones((m, len(indices)), np.int8)
-    block[1:] -= 2 * bits.T.view(np.int8)
-    return block
-
-
-def _pair_block(m: int, indices: Sequence[int]) -> np.ndarray:
-    """int8 pair-product rows, in pair_index order, of truth columns `indices`."""
-    block = _sign_block(m, indices)
-    later, earlier = np.tril_indices(m, -1)
-    return block[earlier] * block[later]
 
 
 # ---------------------------------------------------------------------------
@@ -236,30 +189,16 @@ def sylvester(k: int, *, max_entries: int = DENSE_ENTRY_BUDGET) -> DenseMatrix:
     """The 2^k x 2^k Sylvester Hadamard matrix with +-1 entries."""
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"exponent k must be a nonnegative integer, got {k!r}")
-    n = 1 << k
-    if n * n > max_entries:
+    # Bound k before shifting by it: 1 << k alone can exhaust memory.
+    if k > max_entries.bit_length() or 1 << (2 * k) > max_entries:
         raise ResourceLimitError(
-            f"Sylvester matrix of order {n} exceeds the entry budget {max_entries}"
+            f"Sylvester matrix of order 2^{k} exceeds the entry budget {max_entries}"
         )
+    n = 1 << k
     rows = tuple(
         tuple(-1 if (r & c).bit_count() & 1 else 1 for c in range(n)) for r in range(n)
     )
     return DenseMatrix(rows)
-
-
-def kronecker(a: DenseMatrix, b: DenseMatrix, *, max_entries: int = DENSE_ENTRY_BUDGET) -> DenseMatrix:
-    """Kronecker product: the block matrix [a_uv * b]."""
-    out_rows = a.rows * b.rows
-    out_cols = a.cols * b.cols
-    if out_rows * out_cols > max_entries:
-        raise ResourceLimitError(
-            f"Kronecker product of size {out_rows}x{out_cols} exceeds the entry budget"
-        )
-    rows = []
-    for ar in a.entries:
-        for br in b.entries:
-            rows.append(tuple(ae * be for ae in ar for be in br))
-    return DenseMatrix(tuple(rows), is_exact=a.is_exact and b.is_exact)
 
 
 def fwht(values: Sequence) -> list:

@@ -19,6 +19,7 @@ from oracles import (
     naive_wht,
     random_fraction,
     row_dots,
+    sylvester_by_doubling,
 )
 from hadamardesque import (
     DenseMatrix,
@@ -32,11 +33,10 @@ from hadamardesque import (
     construct_crv,
     find_hadamard_column_sets,
     fwht,
-    hadamard_entry,
     in_free_span,
     is_hadamard,
     pair_count,
-    pair_product_entry,
+    pair_product_table,
     pair_to_mask,
     pairwise_dots,
     parse_matrix,
@@ -46,7 +46,7 @@ from hadamardesque import (
     realize_uniform_rational,
     row_mask,
     to_hadamardesque,
-    truth_table_entry,
+    truth_table,
     verify_column_set,
 )
 from hadamardesque.cli import main as cli_main
@@ -61,21 +61,16 @@ def report(number: int, name: str, started: float, budget: float) -> None:
 def test_criterion_1_structural_theorems():
     started = time.monotonic()
     for m in range(2, 13):
-        n = 1 << (m - 1)
-        cols = range(1, n + 1)
+        hadamard = sylvester_by_doubling(m - 1)
         # Truth rows occupy Hadamard rows {1, 2^0+1, ..., 2^(m-2)+1}.
         indices = [row_mask(k) + 1 for k in range(1, m + 1)]
         assert indices == [1] + [2 ** (k - 2) + 1 for k in range(2, m + 1)]
+        truth = truth_table(m).entries
         for k in range(1, m + 1):
-            mask = row_mask(k)
-            assert [truth_table_entry(m, k, j) for j in cols] == [
-                hadamard_entry(mask, j) for j in cols
-            ]
+            assert truth[k - 1] == hadamard[row_mask(k)]
+        products = pair_product_table(m).entries
         for linear in range(1, pair_count(m) + 1):
-            mask = pair_to_mask(m, linear)
-            assert [pair_product_entry(m, linear, j) for j in cols] == [
-                hadamard_entry(mask, j) for j in cols
-            ]
+            assert products[linear - 1] == hadamard[pair_to_mask(m, linear)]
     report(1, "structural-theorems m=2..12", started, 5.0)
 
 

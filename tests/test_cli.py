@@ -343,3 +343,34 @@ def test_non_hadamardesque_matrix_is_argument_error(capsys, tmp_path):
     code, _, err = run(capsys, "dots", str(path))
     assert code == 2
     assert "column 1" in err
+
+
+@pytest.mark.parametrize("command", ["dots", "crv", "classify"])
+@pytest.mark.parametrize(
+    "token", ["inf", "-inf", "1e400", "nan", pytest.param("1" + "0" * 400, id="10**400")]
+)
+def test_non_finite_float_is_an_input_error(capsys, tmp_path, command, token):
+    path = tmp_path / "nonfinite.txt"
+    path.write_text(f"2 2\n1 1\n1.0 {token}\n")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and repr(token) in err
+
+
+def test_gen_hadamard_of_a_huge_order_is_a_resource_limit(capsys):
+    code, out, err = run(capsys, "gen-hadamard", "100000000000")
+    assert (code, out) == (4, "")
+    assert err.startswith("resource limit:")
+
+
+def test_verify_set_of_a_huge_order_is_false(capsys):
+    code, out, _ = run(capsys, "verify-set", "100000000000", "1")
+    assert (code, out) == (0, "false\n")
+
+
+def test_in_span_of_a_huge_order_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"m": 10**20, "v": [1]}))
+    code, out, err = run(capsys, "in-span", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")

@@ -256,6 +256,6 @@ def test_construct_matrix_dispatch():
     assert construct_matrix(2, [0]).dense() == truth_table(2)
     rational = construct_matrix(2, [Fraction(1, 2)], ConstructionOptions(flavor="rational"))
     assert all(c.q == Fraction(1, 4) for c in rational.columns)
-    dense = construct_matrix(2, [0], ConstructionOptions(flavor="irrational", expand=True))
+    dense = construct_matrix(2, [0], ConstructionOptions(flavor="irrational")).dense()
     assert isinstance(dense, DenseMatrix)
     assert dense.shape == (2, 4)

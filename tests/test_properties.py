@@ -9,6 +9,7 @@ from oracles import pair_products_by_rows
 from hadamardesque import walsh
 from hadamardesque import (
     ConstructionOptions,
+    DenseMatrix,
     HadamardesqueMatrix,
     RepresentationVector,
     WeightedColumn,
@@ -19,7 +20,6 @@ from hadamardesque import (
     in_free_span,
     pair_count,
     pairwise_dots,
-    pairwise_products,
     realize_canonical,
     same_pairwise_dots,
     to_hadamardesque,
@@ -48,9 +48,13 @@ def hadamardesque_matrices(draw):
     return HadamardesqueMatrix(m, tuple(draw(weighted_columns(m))))
 
 
-@given(st.lists(rationals, min_size=2, max_size=6))
-def test_pairwise_products_sign_invariant(values):
-    assert pairwise_products(values) == pairwise_products([-v for v in values])
+@given(hadamardesque_matrices(), st.data())
+def test_pairwise_products_sign_invariant(matrix, data):
+    # Negating a column negates both factors of each of its pairwise products.
+    dense = matrix.dense()
+    flips = data.draw(st.lists(st.sampled_from((1, -1)), min_size=dense.cols, max_size=dense.cols))
+    flipped = DenseMatrix.from_rows([[f * x for f, x in zip(flips, row)] for row in dense.entries])
+    assert pairwise_dots(to_hadamardesque(flipped)) == pairwise_dots(matrix)
 
 
 @given(st.integers(min_value=1, max_value=4), st.data())

@@ -1,21 +1,20 @@
 import json
+import math
 import time
 
 import numpy as np
 import pytest
 
 import goldens
-from oracles import brute_force_column_sets, row_dots
+from oracles import brute_force_column_sets, pair_products_by_rows, row_dots
 from hadamardesque import search
 from hadamardesque import (
     SearchOptions,
     column_from_signs,
     column_set_matrix,
-    column_signs,
     find_hadamard_column_sets,
     is_hadamard,
     pair_sign_table,
-    pairwise_products,
     sylvester,
     verify_column_set,
 )
@@ -23,10 +22,7 @@ from hadamardesque import (
 
 def test_pair_sign_table_matches_column_products():
     for m in (2, 3, 5):
-        table = pair_sign_table(m)
-        for j in range(1, (1 << (m - 1)) + 1):
-            expected = pairwise_products(column_signs(m, j))
-            assert tuple(int(x) for x in table[:, j - 1]) == expected
+        assert tuple(map(tuple, pair_sign_table(m).tolist())) == pair_products_by_rows(m)
 
 
 def test_order_two_exact_solution():
@@ -107,7 +103,7 @@ def test_time_limit_partial():
     [
         (4, {}, 27),
         (4, {"force_first_column": True}, 10),
-        (4, {"prune": False}, 125),
+        (5, {"force_first_column": True}, 0),
         (6, {}, 6579),
         (6, {"force_first_column": True}, 790),
     ],
@@ -144,7 +140,9 @@ def test_node_limited_runs_repeat():
     assert runs[0].limit_fired == runs[1].limit_fired == "nodes"
 
 
-@pytest.mark.parametrize("fields", [{"node_limit": -5}, {"time_limit": -1.0}])
+@pytest.mark.parametrize(
+    "fields", [{"node_limit": -5}, {"time_limit": -1.0}, {"time_limit": float("nan")}]
+)
 def test_negative_budgets_rejected(fields):
     with pytest.raises(ValueError):
         SearchOptions(**fields)
@@ -157,10 +155,13 @@ def test_normalized_search():
 
 
 def test_pruning_reduces_nodes_without_changing_solutions():
+    # Without pruning the walk would visit every ascending d-prefix of the 8
+    # columns that leaves room for the other 4 - d: C(4 + d, d) of them.
+    unpruned_nodes = sum(math.comb(4 + d, d) for d in range(1, 5))
     pruned = find_hadamard_column_sets(4)
-    unpruned = find_hadamard_column_sets(4, options=SearchOptions(prune=False))
-    assert sorted(pruned.solutions) == sorted(unpruned.solutions)
-    assert pruned.nodes <= unpruned.nodes
+    oracle, _ = brute_force_column_sets(4)
+    assert sorted(pruned.solutions) == sorted(oracle)
+    assert pruned.nodes < unpruned_nodes == 125
     normalized = find_hadamard_column_sets(4, options=SearchOptions(force_first_column=True))
     assert normalized.nodes <= pruned.nodes
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import goldens
@@ -18,20 +19,17 @@ from hadamardesque import (
     column_signs,
     free_masks,
     fwht,
-    hadamard_entry,
-    kronecker,
     pair_count,
     pair_index,
     pair_masks,
-    pair_product_entry,
     pair_product_table,
     pair_rows,
     pair_to_mask,
-    pairwise_products,
+    pairwise_dots,
     row_mask,
     sylvester,
+    to_hadamardesque,
     truth_table,
-    truth_table_entry,
 )
 
 
@@ -50,11 +48,11 @@ def test_sylvester_matches_doubling_recursion(k):
 
 
 def test_sylvester_equals_kronecker_power():
-    power = DenseMatrix(((1,),))
-    h2 = sylvester(1)
+    power = np.ones((1, 1), dtype=np.int64)
+    h2 = np.array(goldens.H2)
     for k in range(0, 11):
-        assert sylvester(k) == power
-        power = kronecker(h2, power)
+        assert sylvester(k).entries == tuple(map(tuple, power.tolist()))
+        power = np.kron(h2, power)
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -68,25 +66,11 @@ def test_sylvester_guards():
         sylvester(-1)
     with pytest.raises(ResourceLimitError):
         sylvester(15)
-
-
-def test_kronecker_identity_and_golden():
-    h2 = sylvester(1)
-    one = DenseMatrix(((1,),))
-    assert kronecker(h2, one) == h2
-    assert kronecker(one, h2) == h2
-    assert kronecker(h2, h2).entries == goldens.H4
-
-
-def test_kronecker_shapes_and_budget():
-    a = DenseMatrix(((1, 2, 3), (4, 5, 6)))
-    b = DenseMatrix(((1, 0), (0, 1)))
-    product = kronecker(a, b)
-    assert product.shape == (4, 6)
-    assert product.entry(1, 1) == 1 and product.entry(2, 2) == 1
-    assert product.entry(3, 5) == 6
     with pytest.raises(ResourceLimitError):
-        kronecker(a, b, max_entries=10)
+        sylvester(10**11)
+    with pytest.raises(ResourceLimitError):
+        sylvester(2, max_entries=15)
+    assert sylvester(2, max_entries=16).entries == goldens.H4
 
 
 # --- Truth table -----------------------------------------------------------
@@ -112,22 +96,31 @@ def test_truth_rows_orthogonal(m):
 
 def test_truth_rows_sit_in_hadamard_rows():
     for m in range(2, 11):
-        n = 1 << (m - 1)
+        hadamard = sylvester_by_doubling(m - 1)
+        truth = truth_table(m).entries
         for k in range(1, m + 1):
-            mask = row_mask(k)
-            assert all(
-                truth_table_entry(m, k, j) == hadamard_entry(mask, j)
-                for j in range(1, n + 1)
-            )
+            assert truth[k - 1] == hadamard[row_mask(k)]
 
 
 def test_column_signs_roundtrip():
     for m in (1, 2, 5):
+        truth = truth_by_recursion(m)
         for j in range(1, (1 << (m - 1)) + 1):
             signs = column_signs(m, j)
-            assert signs[0] == 1
             assert column_from_signs(signs) == j
-            assert signs == tuple(truth_table_entry(m, k, j) for k in range(1, m + 1))
+            assert signs == tuple(row[j - 1] for row in truth)
+
+
+@pytest.mark.parametrize("m", (17, 40, 64))
+def test_column_signs_of_wide_orders(m):
+    half = 1 << (m - 2)
+    assert column_signs(m, 1) == (1,) * m
+    # The doubling recursion's last row is +1 on the first half, -1 on the second.
+    assert column_signs(m, half) == (1,) + (-1,) * (m - 2) + (1,)
+    assert column_signs(m, half + 1) == (1,) * (m - 1) + (-1,)
+    assert column_signs(m, 2 * half) == (1,) + (-1,) * (m - 1)
+    for j in (1, half, half + 1, 2 * half):
+        assert column_from_signs(column_signs(m, j)) == j
 
 
 def test_column_from_signs_validation():
@@ -141,9 +134,13 @@ def test_column_from_signs_validation():
 
 def test_truth_table_guards():
     with pytest.raises(IndexError):
-        truth_table_entry(3, 4, 1)
+        column_signs(3, 0)
     with pytest.raises(IndexError):
-        truth_table_entry(3, 1, 5)
+        column_signs(3, 5)
+    with pytest.raises(IndexError):
+        column_signs(64, (1 << 63) + 1)
+    with pytest.raises(ValueError):
+        column_signs(0, 1)
     with pytest.raises(ResourceLimitError):
         truth_table(17)
     with pytest.raises(ResourceLimitError):
@@ -198,15 +195,20 @@ def test_pair_masks_cardinality():
 # --- Pairwise products and the product table ---------------------------------
 
 
+def _column_dots(column):
+    """Pairwise dots of a one-column matrix: the pairwise products of its entries."""
+    return pairwise_dots(to_hadamardesque(DenseMatrix(tuple((x,) for x in column)))).values
+
+
 def test_pairwise_products_goldens():
-    assert pairwise_products((1, -1, 1)) == (-1, 1, -1)
-    assert pairwise_products((1,) * 5) == (1,) * 10
-    assert pairwise_products((2, 2, -2)) == (4, -4, -4)
+    assert _column_dots((1, -1, 1)) == (-1, 1, -1)
+    assert _column_dots((1,) * 5) == (1,) * 10
+    assert _column_dots((2, 2, -2)) == (4, -4, -4)
 
 
 def test_pairwise_products_guard():
     with pytest.raises(ValueError):
-        pairwise_products((1,))
+        _column_dots((1,))
 
 
 def test_product_table_goldens():
@@ -239,7 +241,8 @@ def test_product_columns_are_column_products():
         table = pair_product_table(m)
         truth = truth_table(m)
         for j in range(1, table.cols + 1):
-            assert table.column(j) == pairwise_products(truth.column(j))
+            col = truth.column(j)
+            assert table.column(j) == tuple(col[i] * col[k] for k in range(1, m) for i in range(k))
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -251,13 +254,10 @@ def test_product_rows_orthogonal_and_balanced(m):
 
 def test_product_rows_are_hadamard_rows():
     for m in range(2, 11):
-        n = 1 << (m - 1)
+        hadamard = sylvester_by_doubling(m - 1)
+        table = pair_product_table(m).entries
         for linear in range(1, pair_count(m) + 1):
-            mask = pair_to_mask(m, linear)
-            assert all(
-                pair_product_entry(m, linear, j) == hadamard_entry(mask, j)
-                for j in range(1, n + 1)
-            )
+            assert table[linear - 1] == hadamard[pair_to_mask(m, linear)]
 
 
 # --- Fast transform ----------------------------------------------------------
