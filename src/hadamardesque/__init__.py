@@ -45,8 +45,7 @@ from .search import (
     verify_column_set,
 )
 from .walsh import (
-    DENSE_TABLE_CAP,
-    MAX_VECTOR_M,
+    OUTPUT_ENTRY_BUDGET,
     column_from_signs,
     column_signs,
     free_masks,
@@ -66,13 +65,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConstructionOptions",
-    "DENSE_TABLE_CAP",
     "DenseMatrix",
     "Factorization",
     "FormatError",
     "HadamardesqueMatrix",
     "InfeasibleError",
-    "MAX_VECTOR_M",
+    "OUTPUT_ENTRY_BUDGET",
     "PairwiseDots",
     "RepresentationVector",
     "ResourceLimitError",

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 
 from .dense import DenseMatrix
-from .errors import ResourceLimitError, ShapeError
+from .errors import ShapeError
 from .scalars import SqrtRational
 from .walsh import (
-    MAX_VECTOR_M,
+    _check_entries,
     _pair_sums,
     _rational_numerators,
     _sign_block,
@@ -30,7 +30,6 @@ from .walsh import (
 )
 
 DEFAULT_FLOAT_TOL = 1e-9
-DENSE_COLUMN_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -69,24 +68,24 @@ class HadamardesqueMatrix:
             raise ValueError(f"row count must be >= 1, got {self.m}")
         if not self.columns:
             raise ValueError("a matrix needs at least one column")
-        limit = 1 << (self.m - 1)
-        for col in self.columns:
-            if col.index > limit:
-                raise ValueError(
-                    f"column index {col.index} out of range [1, {limit}] for m={self.m}"
-                )
+        # Bit length, not 1 << (m - 1): a huge m must not build a huge int.
+        top = max(col.index for col in self.columns)
+        if (top - 1).bit_length() >= self.m:
+            raise ValueError(
+                f"column index {top} out of range [1, 2^{self.m - 1}] for m={self.m}"
+            )
 
     @property
     def n(self) -> int:
         """Total column count, multiplicities included."""
         return sum(c.multiplicity for c in self.columns)
 
-    def dense(self, *, max_columns: int = DENSE_COLUMN_CAP) -> DenseMatrix:
-        """Expand to a dense exact matrix; entries are +-sqrt(q)."""
-        if self.n > max_columns:
-            raise ResourceLimitError(
-                f"dense expansion to {self.n} columns exceeds the cap {max_columns}"
-            )
+    def dense(self) -> DenseMatrix:
+        """Expand to a dense exact matrix; entries are +-sqrt(q).
+
+        Refused past OUTPUT_ENTRY_BUDGET entries (m * n, multiplicities included).
+        """
+        _check_entries(f"dense {self.m} x {self.n} matrix", self.m * self.n, 0)
         scales = [(col.scale, col.multiplicity) for col in self.columns]
         signs = _sign_block(self.m, [col.index for col in self.columns]).tolist()
         rows = tuple(
@@ -180,8 +179,11 @@ def factor_columns(matrix: DenseMatrix, tol: float | None = None) -> Factorizati
     Columns whose leading entry is negative are normalised by a global sign
     flip (their pairwise products are unchanged); the flipped input
     positions are reported.  Raises ShapeError for a zero column or a column
-    whose entries do not share one modulus.
+    whose entries do not share one modulus, and ValueError for a tolerance
+    that is negative or not finite.
     """
+    if tol is not None and not 0 <= tol < inf:  # also rejects NaN
+        raise ValueError(f"modulus tolerance must be finite and >= 0, got {tol!r}")
     if matrix.is_exact:
         if tol:
             raise ValueError("exact matrices require tol=0")
@@ -249,8 +251,7 @@ def _column_weights(matrix: HadamardesqueMatrix) -> tuple[list[int], list[int], 
 
 def column_representation(matrix: HadamardesqueMatrix) -> RepresentationVector:
     """Sum the squared scales of every occurrence of each truth column."""
-    if matrix.m > MAX_VECTOR_M:
-        raise ResourceLimitError(f"weight vector refused for m={matrix.m} > cap {MAX_VECTOR_M}")
+    _check_entries(f"weight vector of order {matrix.m}", 1, matrix.m - 1)
     indices, numerators, den = _column_weights(matrix)
     sums = [0] * (1 << (matrix.m - 1))
     for j, x in zip(indices, numerators):

@@ -145,7 +145,7 @@ def _cmd_construct(args) -> int:
         }
         print(json.dumps(record))
     else:
-        sys.stdout.write(format_matrix(matrix.dense(max_columns=args.max_columns)))
+        sys.stdout.write(format_matrix(matrix.dense()))
     return 0
 
 
@@ -239,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'minimal', 'minimal-integer', or an explicit rational")
     p.add_argument("--multiset", action="store_true",
                    help="print the column multiset record instead of a dense matrix")
-    p.add_argument("--max-columns", type=int, default=10**6)
     p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("search", help="search Hadamard column sets of order m")

@@ -27,9 +27,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .classify import HadamardesqueMatrix, RepresentationVector, WeightedColumn, PairwiseDots
-from .errors import InfeasibleError, ResourceLimitError
+from .errors import InfeasibleError
 from .scalars import SqrtRational
-from .walsh import MAX_VECTOR_M, _rational_numerators, fwht, pair_count, pair_to_mask
+from .walsh import _check_entries, _rational_numerators, fwht, pair_count, pair_to_mask
 
 FLAVORS = ("canonical", "rational", "irrational")
 
@@ -103,8 +103,7 @@ def construct_crv(m: int, a: Sequence, options: ConstructionOptions | None = Non
     opts = options or ConstructionOptions()
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
-    if m > MAX_VECTOR_M:
-        raise ResourceLimitError(f"weight vector refused for m={m} > cap {MAX_VECTOR_M}")
+    _check_entries(f"weight vector of order {m}", 1, m - 1)
     target = _target_fractions(m, a)
     n = 1 << (m - 1)
     explicit = not isinstance(opts.shift, str)

@@ -33,10 +33,8 @@ import numpy as np
 
 from .classify import is_hadamard
 from .dense import DenseMatrix
-from .errors import ResourceLimitError
-from .walsh import _check_columns, _pair_block, _pair_sums, _sign_block, pair_count
+from .walsh import _check_columns, _check_entries, _pair_block, _pair_sums, _sign_block, pair_count
 
-ENGINE_ORDER_CAP = 28
 ENGINE_TABLE_BUDGET = 1 << 27  # pair-product table entries (int8 bytes)
 
 
@@ -85,16 +83,8 @@ def column_set_matrix(m: int, columns) -> DenseMatrix:
 
 def pair_sign_table(m: int) -> np.ndarray:
     """int8 table of shape (pairs, columns): the pairwise products of every column."""
-    if not 2 <= m <= ENGINE_ORDER_CAP:
-        raise ValueError(f"order m={m} out of the engine range [2, {ENGINE_ORDER_CAP}]")
-    n_pairs = pair_count(m)
-    n_cols = 1 << (m - 1)
-    if n_pairs * n_cols > ENGINE_TABLE_BUDGET:
-        raise ResourceLimitError(
-            f"pair-sign table for m={m} needs {n_pairs * n_cols} entries, "
-            f"over the budget {ENGINE_TABLE_BUDGET}"
-        )
-    return _pair_block(m, range(1, n_cols + 1))
+    _check_entries(f"pair-sign table of order {m}", pair_count(m), m - 1, ENGINE_TABLE_BUDGET)
+    return _pair_block(m, range(1, (1 << (m - 1)) + 1))
 
 
 class _Stop(Exception):
@@ -170,11 +160,13 @@ def find_hadamard_column_sets(m: int, limit: int | None = None,
     `on_solution`: its running pair sums are zero, verify_column_set's pair
     sums vanish, and its dense matrix passes the direct Hadamard test.  The
     report says whether the tree was fully explored and which budget (if
-    any) cut the run short.
+    any) cut the run short.  Odd orders end at the root; even orders whose
+    pair-sign table exceeds ENGINE_TABLE_BUDGET (m >= 22) raise
+    ResourceLimitError.
     """
     opts = options or SearchOptions()
-    if not 2 <= m <= ENGINE_ORDER_CAP:
-        raise ValueError(f"order m={m} out of the engine range [2, {ENGINE_ORDER_CAP}]")
+    if m < 2:
+        raise ValueError(f"need m >= 2, got {m}")
     if limit is not None and limit < 1:
         raise ValueError(f"solution limit must be >= 1, got {limit}")
     started = time.monotonic()

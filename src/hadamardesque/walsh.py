@@ -8,9 +8,11 @@ search engine is built from its output, and column_from_signs inverts it.
 With that convention, row k of the truth table is the Sylvester Hadamard
 row with mask 2^(k-2) (row 1 is mask 0), and the coordinatewise product of
 two truth rows is the Hadamard row whose mask is the XOR of theirs
-(row_mask, pair_to_mask).  Dense tables are materialised only below a size
-cap, single columns of any order come from column_signs, and pair sums cost
-what their column list costs.
+(row_mask, pair_to_mask).  Every output that grows with 2^(m-1) (dense
+tables, Sylvester matrices, weight vectors, dense expansions) is refused
+past OUTPUT_ENTRY_BUDGET entries before anything is allocated; single
+columns of any order come from column_signs, and pair sums cost what their
+column list costs.
 
 A useful identity (not an operation): permuting the truth columns permutes
 the columns of the pair-product table and of the Hadamard matrix the same
@@ -31,12 +33,8 @@ import numpy as np
 from .dense import DenseMatrix
 from .errors import ResourceLimitError
 
-# Operations that return 2^(m-1)-length vectors refuse beyond this.
-MAX_VECTOR_M = 30
-# Default cap for dense truth/pair-product tables.
-DENSE_TABLE_CAP = 16
-# Default entry budget for dense Sylvester construction.
-DENSE_ENTRY_BUDGET = 1 << 22
+# Every output (table, matrix or weight vector) is refused past this many entries.
+OUTPUT_ENTRY_BUDGET = 1 << 22
 # An int64 butterfly cannot overflow while the input's l1 norm stays below this.
 _INT64_BOUND = 1 << 63
 
@@ -44,6 +42,17 @@ _INT64_BOUND = 1 << 63
 def _check_order(m: int) -> None:
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"order m must be a positive integer, got {m!r}")
+
+
+def _check_entries(what: str, factor: int, exponent: int,
+                   budget: int = OUTPUT_ENTRY_BUDGET) -> None:
+    """Refuse `what`, of factor * 2^exponent entries, if that exceeds `budget`."""
+    # Bound the exponent before shifting by it: 1 << exponent alone can exhaust memory.
+    small = exponent <= budget.bit_length()
+    if small and factor << exponent <= budget:
+        return
+    count = factor << exponent if small else f"{factor}*2^{exponent}"
+    raise ResourceLimitError(f"{what} needs {count} entries, over the budget {budget}")
 
 
 def _check_columns(m: int, indices: Sequence[int]) -> None:
@@ -101,12 +110,12 @@ def _pair_block(m: int, indices: Sequence[int]) -> np.ndarray:
 
 
 def truth_table(m: int) -> DenseMatrix:
-    """Dense m x 2^(m-1) truth table (m at most DENSE_TABLE_CAP)."""
+    """Dense m x 2^(m-1) truth table, within OUTPUT_ENTRY_BUDGET entries (m <= 18).
+
+    Single columns of any order come from column_signs.
+    """
     _check_order(m)
-    if m > DENSE_TABLE_CAP:
-        raise ResourceLimitError(
-            f"dense truth table refused for m={m} > cap {DENSE_TABLE_CAP}; use column_signs"
-        )
+    _check_entries(f"truth table of order {m}", m, m - 1)
     block = _sign_block(m, range(1, (1 << (m - 1)) + 1))
     return DenseMatrix(tuple(map(tuple, block.tolist())))
 
@@ -163,20 +172,17 @@ def pair_masks(m: int) -> frozenset[int]:
 
 def free_masks(m: int) -> frozenset[int]:
     """Masks of the remaining Hadamard rows, unconstrained by any row pair."""
+    _check_order(m)
+    _check_entries(f"mask list of order {m}", 1, m - 1)
     used = pair_masks(m)
-    if m > MAX_VECTOR_M:
-        raise ResourceLimitError(f"{1 << (m - 1)} masks refused for m={m} > cap {MAX_VECTOR_M}")
     return frozenset(mask for mask in range(1 << (m - 1)) if mask not in used)
 
 
 def pair_product_table(m: int) -> DenseMatrix:
-    """Dense m(m-1)/2 x 2^(m-1) table of columnwise pairwise products."""
+    """Dense m(m-1)/2 x 2^(m-1) table of columnwise pairwise products (m <= 16)."""
     if pair_count(m) < 1:  # pair_count rejects non-integer and nonpositive m
         raise ValueError(f"need m >= 2, got {m}")
-    if m > DENSE_TABLE_CAP:
-        raise ResourceLimitError(
-            f"dense pair-product table refused for m={m} > cap {DENSE_TABLE_CAP}; use column_signs"
-        )
+    _check_entries(f"pair-product table of order {m}", pair_count(m), m - 1)
     table = _pair_block(m, range(1, (1 << (m - 1)) + 1))
     return DenseMatrix(tuple(map(tuple, table.tolist())))
 
@@ -185,15 +191,11 @@ def pair_product_table(m: int) -> DenseMatrix:
 # Sylvester matrices and the fast transform
 
 
-def sylvester(k: int, *, max_entries: int = DENSE_ENTRY_BUDGET) -> DenseMatrix:
-    """The 2^k x 2^k Sylvester Hadamard matrix with +-1 entries."""
+def sylvester(k: int) -> DenseMatrix:
+    """The 2^k x 2^k Sylvester Hadamard matrix with +-1 entries (k <= 11)."""
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"exponent k must be a nonnegative integer, got {k!r}")
-    # Bound k before shifting by it: 1 << k alone can exhaust memory.
-    if k > max_entries.bit_length() or 1 << (2 * k) > max_entries:
-        raise ResourceLimitError(
-            f"Sylvester matrix of order 2^{k} exceeds the entry budget {max_entries}"
-        )
+    _check_entries(f"Sylvester matrix of order 2^{k}", 1, 2 * k)
     n = 1 << k
     rows = tuple(
         tuple(-1 if (r & c).bit_count() & 1 else 1 for c in range(n)) for r in range(n)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import goldens
+from limits import GIB, run_limited
 from oracles import column_product_sums, row_dots
 from hadamardesque import (
     DenseMatrix,
@@ -113,6 +114,24 @@ def test_weighted_column_validation():
         WeightedColumn(q=1, index=1, multiplicity=0)
     with pytest.raises(ValueError):
         HadamardesqueMatrix(3, (WeightedColumn(q=1, index=5),))
+
+
+def test_huge_row_count_is_checked_by_bit_length():
+    HadamardesqueMatrix(41, (WeightedColumn(q=1, index=1 << 40),))
+    with pytest.raises(ValueError):
+        HadamardesqueMatrix(41, (WeightedColumn(q=1, index=(1 << 40) + 1),))
+    code = (
+        "from hadamardesque import HadamardesqueMatrix, ResourceLimitError, WeightedColumn\n"
+        "columns = (WeightedColumn(1, 1), WeightedColumn(1, 1 << 40))\n"
+        "matrix = HadamardesqueMatrix(10**11, columns)\n"
+        "print(matrix.n)\n"
+        "try:\n"
+        "    matrix.dense()\n"
+        "except ResourceLimitError:\n"
+        "    print('refused')\n"
+    )
+    result = run_limited(code, limit=2 * GIB)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "2\nrefused\n", "")
 
 
 def test_dense_expansion_entries():

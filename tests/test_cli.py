@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import goldens
+from limits import run_cli_limited
 from hadamardesque import parse_matrix, parse_scalar, to_hadamardesque, pairwise_dots
 from hadamardesque.cli import main
 
@@ -268,6 +269,12 @@ def test_search_negative_budget_is_an_input_error(capsys, flag):
     assert err.startswith("error:")
 
 
+def test_search_of_an_odd_order_past_the_table_budget(capsys):
+    code, out, _ = run(capsys, "search", "29")
+    assert code == 0
+    assert out.splitlines()[0] == "no solutions (exhaustive)"
+
+
 def test_search_normalize_flag(capsys):
     code, out, _ = run(capsys, "search", "4", "--normalize")
     lines = out.splitlines()
@@ -374,3 +381,42 @@ def test_in_span_of_a_huge_order_is_an_input_error(capsys, tmp_path):
     code, out, err = run(capsys, "in-span", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("token,shown", [("nan", "nan"), ("inf", "inf"), ("-1", "-1.0")])
+def test_tol_must_be_finite_and_nonnegative(capsys, tmp_path, token, shown):
+    path = tmp_path / "unequal.txt"
+    path.write_text("2 2\n1.0 1\n2.5 -1\n")
+    code, out, err = run(capsys, "dots", str(path), "--tol", token)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "tolerance" in err and shown in err
+
+
+# --- outputs over the entry budget, under a 3 GiB address-space limit ---------------------
+
+
+def assert_refused_cleanly(result):
+    assert (result.returncode, result.stdout) == (4, "")
+    assert result.stderr.startswith("resource limit:")
+    assert "Traceback" not in result.stderr
+
+
+def test_crv_of_28_rows_is_refused_before_allocating(tmp_path):
+    path = tmp_path / "ones28.txt"
+    path.write_text("28 1\n" + "1\n" * 28)
+    assert_refused_cleanly(run_cli_limited("crv", str(path)))
+
+
+def test_construct_of_28_rows_is_refused_before_allocating():
+    assert_refused_cleanly(run_cli_limited("construct", "28", ",".join(["0"] * 378)))
+
+
+@pytest.mark.parametrize("command", ["truth-table", "ct-table", "search"])
+def test_huge_orders_are_refused_before_allocating(command):
+    assert_refused_cleanly(run_cli_limited(command, "100000000000"))
+
+
+def test_search_of_a_huge_odd_order_is_exhausted_at_the_root():
+    result = run_cli_limited("search", "100000000001")
+    assert result.returncode == 0
+    assert result.stdout.splitlines()[0] == "no solutions (exhaustive)"

@@ -9,6 +9,7 @@ import goldens
 from oracles import brute_force_column_sets, pair_products_by_rows, row_dots
 from hadamardesque import search
 from hadamardesque import (
+    ResourceLimitError,
     SearchOptions,
     column_from_signs,
     column_set_matrix,
@@ -196,8 +197,10 @@ def test_verify_column_set_order_32():
 def test_engine_range_checks():
     with pytest.raises(ValueError):
         find_hadamard_column_sets(1)
-    with pytest.raises(ValueError):
-        find_hadamard_column_sets(29)
+    report = find_hadamard_column_sets(29)
+    assert (report.solutions, report.nodes, report.exhaustive) == ((), 0, True)
+    with pytest.raises(ResourceLimitError):
+        find_hadamard_column_sets(30)
     with pytest.raises(ValueError):
         find_hadamard_column_sets(4, limit=0)
 

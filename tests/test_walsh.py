@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +14,17 @@ from oracles import (
     sylvester_by_doubling,
     truth_by_recursion,
 )
+import hadamardesque
 from hadamardesque import (
+    OUTPUT_ENTRY_BUDGET,
     DenseMatrix,
+    HadamardesqueMatrix,
     ResourceLimitError,
+    WeightedColumn,
     column_from_signs,
+    column_representation,
     column_signs,
+    construct_crv,
     free_masks,
     fwht,
     pair_count,
@@ -31,6 +39,7 @@ from hadamardesque import (
     to_hadamardesque,
     truth_table,
 )
+from hadamardesque.walsh import _check_entries
 
 
 # --- Sylvester matrices ----------------------------------------------------
@@ -68,9 +77,6 @@ def test_sylvester_guards():
         sylvester(15)
     with pytest.raises(ResourceLimitError):
         sylvester(10**11)
-    with pytest.raises(ResourceLimitError):
-        sylvester(2, max_entries=15)
-    assert sylvester(2, max_entries=16).entries == goldens.H4
 
 
 # --- Truth table -----------------------------------------------------------
@@ -142,9 +148,81 @@ def test_truth_table_guards():
     with pytest.raises(ValueError):
         column_signs(0, 1)
     with pytest.raises(ResourceLimitError):
-        truth_table(17)
+        truth_table(19)
     with pytest.raises(ResourceLimitError):
         truth_table(31)
+
+
+# --- One output budget ---------------------------------------------------------
+
+
+def test_entry_budget_boundary():
+    budget = OUTPUT_ENTRY_BUDGET
+    _check_entries("output", budget, 0)
+    _check_entries("output", 1, budget.bit_length() - 1)
+    with pytest.raises(ResourceLimitError, match=f"{budget + 1} entries, over the budget {budget}"):
+        _check_entries("output", budget + 1, 0)
+    with pytest.raises(ResourceLimitError):
+        _check_entries("output", 1, budget.bit_length())
+    with pytest.raises(ResourceLimitError, match=f"2\\^100000000000 entries, over the budget {budget}"):
+        _check_entries("output", 1, 10**11)
+    _check_entries("table", 16, 0, budget=16)
+    with pytest.raises(ResourceLimitError, match="17 entries, over the budget 16"):
+        _check_entries("table", 17, 0, budget=16)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: truth_table(19), id="truth_table-19"),
+        pytest.param(lambda: pair_product_table(17), id="pair_product_table-17"),
+        pytest.param(lambda: sylvester(12), id="sylvester-12"),
+        pytest.param(lambda: construct_crv(24, [0] * pair_count(24)), id="construct_crv-24"),
+        pytest.param(lambda: free_masks(24), id="free_masks-24"),
+        pytest.param(
+            lambda: column_representation(HadamardesqueMatrix(24, (WeightedColumn(1, 1),))),
+            id="column_representation-24",
+        ),
+        pytest.param(
+            lambda: HadamardesqueMatrix(8, (WeightedColumn(1, 1, 600_000),)).dense(),
+            id="dense-8x600000",
+        ),
+    ],
+)
+def test_first_refused_size_of_each_output(build):
+    with pytest.raises(ResourceLimitError, match=f"over the budget {OUTPUT_ENTRY_BUDGET}"):
+        build()
+
+
+def test_largest_truth_table_within_budget():
+    table = truth_table(18)
+    assert table.shape == (18, 1 << 17)
+    assert table.column(1 << 17) == column_signs(18, 1 << 17)
+
+
+def _raises_resource_limit(node) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    names = (name for name in ast.walk(node.exc) if isinstance(name, ast.Name))
+    return any(name.id == "ResourceLimitError" for name in names)
+
+
+def test_size_refusals_have_one_source():
+    helpers, stray = [], []
+    for path in sorted(Path(hadamardesque.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = set()
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and func.name == "_check_entries":
+                helpers.append(path.name)
+                inside |= {id(node) for node in ast.walk(func) if _raises_resource_limit(node)}
+        stray += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _raises_resource_limit(node) and id(node) not in inside
+        ]
+    assert helpers == ["walsh.py"]
+    assert stray == []
 
 
 # --- Pair indexing and masks ------------------------------------------------
