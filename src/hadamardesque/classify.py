@@ -161,76 +161,49 @@ class Factorization:
 # Factoring dense matrices
 
 
-def _exact_square(entry) -> Fraction:
-    if isinstance(entry, SqrtRational):
-        return entry.square
-    return Fraction(entry) ** 2
-
-
-def _exact_sign(entry) -> int:
-    if isinstance(entry, SqrtRational):
-        return entry.sign
-    return (entry > 0) - (entry < 0)
-
-
 def factor_columns(matrix: DenseMatrix, tol: float | None = None) -> Factorization:
-    """Factor each column as sqrt(q) times a truth column.
+    """Factor each column as sqrt(q) times a truth column, in one pass per column.
 
-    Columns whose leading entry is negative are normalised by a global sign
-    flip (their pairwise products are unchanged); the flipped input
-    positions are reported.  Raises ShapeError for a zero column or a column
-    whose entries do not share one modulus, and ValueError for a tolerance
-    that is negative or not finite.
+    Every entry is compared with the column's leading entry: an exact entry
+    must equal it (sign +1) or its negation (sign -1), with q its square; a
+    float entry's modulus must lie within the relative tolerance of the
+    largest, with q the squared mean modulus.  Columns whose leading entry
+    is not positive are normalised by a global sign flip (their pairwise
+    products are unchanged); the flipped input positions are reported.
+    Raises ShapeError for a zero column or a column whose entries do not
+    share one modulus, and ValueError for a tolerance that is negative or
+    not finite.
     """
     if tol is not None and not 0 <= tol < inf:  # also rejects NaN
         raise ValueError(f"modulus tolerance must be finite and >= 0, got {tol!r}")
-    if matrix.is_exact:
-        if tol:
-            raise ValueError("exact matrices require tol=0")
-        return _factor_exact(matrix)
-    return _factor_float(matrix, DEFAULT_FLOAT_TOL if tol is None else tol)
-
-
-def _factor_exact(matrix: DenseMatrix) -> Factorization:
-    m = matrix.rows
+    exact = matrix.is_exact
+    if exact and tol:
+        raise ValueError("exact matrices require tol=0")
+    tol = DEFAULT_FLOAT_TOL if tol is None else tol
     columns = []
     flipped = []
-    for j in range(1, matrix.cols + 1):
-        col = matrix.column(j)
-        squares = {_exact_square(e) for e in col}
-        if squares == {Fraction(0)}:
+    for j, col in enumerate(zip(*matrix.entries), start=1):
+        lead = col[0]
+        if exact:
+            neg = -lead
+            signs = [1 if e == lead else -1 if e == neg else 0 for e in col]
+            zero, spread = not any(col), 0 in signs
+            up = (lead.sign if isinstance(lead, SqrtRational) else lead) > 0
+        else:
+            moduli = [abs(e) for e in col]
+            top = max(moduli)
+            zero, spread = top == 0.0, top - min(moduli) > tol * top
+            up = lead > 0
+            signs = [1 if (e > 0) == up else -1 for e in col]
+        if zero:
             raise ShapeError(f"column {j} is zero")
-        if len(squares) != 1:
+        if spread:
             raise ShapeError(f"column {j}: entries do not share a common modulus")
-        signs = [_exact_sign(e) for e in col]
-        if signs[0] < 0:
-            signs = [-s for s in signs]
+        if not up:
             flipped.append(j)
-        columns.append(WeightedColumn(q=squares.pop(), index=column_from_signs(signs)))
-    return Factorization(HadamardesqueMatrix(m, tuple(columns)), tuple(flipped))
-
-
-def _factor_float(matrix: DenseMatrix, tol: float) -> Factorization:
-    m = matrix.rows
-    columns = []
-    flipped = []
-    for j in range(1, matrix.cols + 1):
-        col = matrix.column(j)
-        moduli = [abs(e) for e in col]
-        top = max(moduli)
-        if top == 0.0:
-            raise ShapeError(f"column {j} is zero")
-        if (top - min(moduli)) > tol * top:
-            raise ShapeError(f"column {j}: entries do not share a common modulus")
-        signs = [1 if e > 0 else -1 for e in col]
-        if signs[0] < 0:
-            signs = [-s for s in signs]
-            flipped.append(j)
-        mean = sum(moduli) / len(moduli)
-        columns.append(
-            WeightedColumn(q=Fraction(mean) ** 2, index=column_from_signs(signs))
-        )
-    return Factorization(HadamardesqueMatrix(m, tuple(columns)), tuple(flipped))
+        q = lead * lead if exact else Fraction(sum(moduli) / len(moduli)) ** 2
+        columns.append(WeightedColumn(q=q, index=column_from_signs(signs)))
+    return Factorization(HadamardesqueMatrix(matrix.rows, tuple(columns)), tuple(flipped))
 
 
 def to_hadamardesque(matrix: DenseMatrix, tol: float | None = None) -> HadamardesqueMatrix:
@@ -265,10 +238,12 @@ def pairwise_dots(matrix: HadamardesqueMatrix) -> PairwiseDots:
 
     The dot product of rows (i, j) is the sum over the matrix's truth
     columns of weight times s_i * s_j: the dot product of the
-    representation vector with the pair-product row for (i, j).
+    representation vector with the pair-product row for (i, j).  Refused
+    past OUTPUT_ENTRY_BUDGET dot products (m > 2896).
     """
     if matrix.m < 2:
         raise ValueError("pairwise dots need at least two rows")
+    _check_entries(f"pairwise dots of order {matrix.m}", pair_count(matrix.m), 0)
     indices, numerators, den = _column_weights(matrix)
     values = tuple(Fraction(x, den) for x in _pair_sums(matrix.m, indices, numerators))
     return PairwiseDots(matrix.m, values)

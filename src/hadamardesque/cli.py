@@ -47,6 +47,18 @@ def _parse_targets(text: str) -> list:
     return [parse_scalar(tok, mode="exact") for tok in tokens]
 
 
+def _rational(value, what: str) -> Fraction:
+    """An exact rational from a grammar token or an int; FormatError for anything else."""
+    if type(value) is int:  # not bool
+        return Fraction(value)
+    if not isinstance(value, str):
+        raise FormatError(f"{what} must be a rational token or an integer, got {value!r}")
+    parsed = parse_scalar(value, mode="exact")
+    if not isinstance(parsed, Fraction):
+        raise FormatError(f"{what} {value!r} is irrational")
+    return parsed
+
+
 def _matrix_from_file(args):
     mode = "exact" if args.exact else "auto"
     return parse_matrix(_read_text(args.matrix_file), mode=mode)
@@ -107,15 +119,12 @@ def _load_weight_vector(path: str) -> RepresentationVector:
         m, entries = record.get("m"), record.get("v")
         if type(m) is not int or not isinstance(entries, list):
             raise FormatError(f'{path}: a weight record needs an integer "m" and a list "v"')
-        try:
-            values = [Fraction(v) for v in entries]
-        except TypeError:
-            raise FormatError(f'{path}: "v" entries must be rational numbers or strings') from None
+        values = [_rational(v, f'{path}: "v" entry') for v in entries]
         return RepresentationVector(m, tuple(values))
     tokens = text.split()
     if not tokens:
         raise FormatError(f"{path}: empty weight vector")
-    values = [Fraction(parse_scalar(tok, mode="exact")) for tok in tokens]
+    values = [_rational(tok, f"{path}: weight") for tok in tokens]
     n = len(values)
     if n & (n - 1):
         raise FormatError(f"{path}: length {n} is not a power of two")
@@ -135,7 +144,7 @@ def _cmd_construct(args) -> int:
     targets = _parse_targets(args.targets)
     shift: object = args.shift
     if shift not in ("minimal", "minimal-integer"):
-        shift = Fraction(parse_scalar(shift, mode="exact"))
+        shift = _rational(shift, "--shift")
     opts = ConstructionOptions(shift=shift, flavor=args.flavor)
     matrix = construct_matrix(args.m, targets, opts)
     if args.multiset:

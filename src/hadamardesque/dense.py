@@ -7,8 +7,9 @@ The text format is the interchange surface for every tool in the package:
     ...
     <row m>
 
-Exact entries use the tokens ``p``, ``p/q``, ``sqrt(p/q)``, ``-sqrt(p/q)``;
-float mode uses decimal literals.
+Entries are tokens of the one grammar in `scalars`: an optional sign, then
+``p``, ``p/q``, ``sqrt(p)`` or ``sqrt(p/q)``; float mode also takes decimal
+literals.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import FormatError
-from .scalars import SqrtRational, format_scalar, is_exact_token, parse_scalar
+from .scalars import SqrtRational, _finite_float, format_scalar, parse_scalar
 
 
 def _coerce_exact(entry):
@@ -97,11 +98,12 @@ def format_matrix(matrix: DenseMatrix) -> str:
 
 
 def parse_matrix(text: str, *, mode: str = "auto") -> DenseMatrix:
-    """Parse the shared text format.
+    """Parse the shared text format, each token once.
 
     mode="exact" rejects decimal literals; mode="float" forces floats;
     mode="auto" returns an exact matrix unless any token is a decimal
-    literal, in which case the whole matrix is parsed as floats.
+    literal, in which case every parsed value is converted to a float.
+    Token errors name their line.
     """
     if mode not in ("auto", "exact", "float"):
         raise ValueError(f"unknown parse mode {mode!r}")
@@ -128,21 +130,16 @@ def parse_matrix(text: str, *, mode: str = "auto") -> DenseMatrix:
             )
         tokens.append((line_no, row_tokens))
 
-    effective = mode
-    if mode == "auto":
-        effective = "exact"
-        for _, row_tokens in tokens:
-            if any(not is_exact_token(tok) for tok in row_tokens):
-                effective = "float"
-                break
-
-    rows = []
-    for line_no, row_tokens in tokens:
-        row = []
-        for tok in row_tokens:
-            try:
-                row.append(parse_scalar(tok, mode=effective))
-            except FormatError as exc:
-                raise FormatError(f"line {line_no}: {exc}") from None
-        rows.append(tuple(row))
-    return DenseMatrix(tuple(rows), is_exact=(effective == "exact"))
+    try:
+        rows = []
+        for line_no, row_tokens in tokens:
+            rows.append([parse_scalar(tok, mode=mode) for tok in row_tokens])
+        is_exact = mode == "exact" or (
+            mode == "auto" and not any(isinstance(v, float) for row in rows for v in row)
+        )
+        if mode == "auto" and not is_exact:
+            for (line_no, row_tokens), row in zip(tokens, rows):
+                row[:] = map(_finite_float, row, row_tokens)
+    except FormatError as exc:
+        raise FormatError(f"line {line_no}: {exc}") from None
+    return DenseMatrix(tuple(map(tuple, rows)), is_exact=is_exact)

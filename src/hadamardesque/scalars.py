@@ -7,8 +7,10 @@ Instances are canonical (they store the sign and the *square* of the value),
 so two equal values always compare and hash equal, and rational-valued
 instances interoperate with int and Fraction.
 
-Text tokens follow the shared matrix format: ``p``, ``p/q``, ``sqrt(p/q)``,
-``-sqrt(p/q)``; float mode uses plain decimal literals.
+Text tokens follow one grammar, shared by matrix files and the CLI: an
+optional sign, then ``p``, ``p/q``, ``sqrt(p)`` or ``sqrt(p/q)`` with p, q
+unsigned integers.  Each token is matched once and its value built from the
+captured integers.  Float and auto modes also accept decimal literals.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from fractions import Fraction
 
 from .errors import FormatError
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
-_SQRT_RE = re.compile(r"^([+-]?)sqrt\((\d+(?:/\d+)?)\)$")
+# Groups: sign, "sqrt(" (which then requires the closing parenthesis), p, q.
+_TOKEN_RE = re.compile(r"([+-]?)(sqrt\()?(\d+)(?:/(\d+))?(?(2)\))$")
 
 
 def _exact_sqrt(value: Fraction) -> Fraction | None:
@@ -192,42 +194,35 @@ def format_scalar(value) -> str:
     raise TypeError(f"cannot format {value!r} as a scalar token")
 
 
-def parse_rational(token: str) -> Fraction:
-    """Parse a ``p`` or ``p/q`` token into an exact Fraction."""
-    if not _RATIONAL_RE.match(token):
-        raise FormatError(f"malformed rational token {token!r}")
-    try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise FormatError(f"zero denominator in token {token!r}") from None
-
-
 def parse_scalar(token: str, *, mode: str = "exact"):
     """Parse one scalar token.
 
-    mode="exact" accepts rational and sqrt tokens only; mode="float" returns
-    floats (evaluating sqrt tokens numerically); mode="auto" prefers exact
-    and silently falls back to float for decimal literals.
+    mode="exact" accepts grammar tokens only and returns a Fraction, or a
+    SqrtRational for an irrational root; mode="float" returns finite floats
+    (evaluating grammar tokens exactly first); mode="auto" returns the exact
+    value of a grammar token and a float for a decimal literal.
     """
     if mode not in ("exact", "float", "auto"):
         raise ValueError(f"unknown parse mode {mode!r}")
-    match = _SQRT_RE.match(token)
-    if match is not None:
-        radicand = parse_rational(match.group(2))
-        value = SqrtRational.sqrt(radicand)
-        if match.group(1) == "-":
-            value = -value
-        return _finite_float(value, token) if mode == "float" else value
-    if _RATIONAL_RE.match(token):
-        value = parse_rational(token)
-        return _finite_float(value, token) if mode == "float" else value
-    if mode == "exact":
-        raise FormatError(f"malformed exact token {token!r}")
+    match = _TOKEN_RE.match(token)
+    if match is None:
+        if mode == "exact":
+            raise FormatError(f"malformed exact token {token!r}")
+        try:
+            value = float(token)
+        except ValueError:
+            raise FormatError(f"malformed scalar token {token!r}") from None
+        return _finite_float(value, token)
+    sign, root, num, den = match.groups()
     try:
-        value = float(token)
-    except ValueError:
-        raise FormatError(f"malformed scalar token {token!r}") from None
-    return _finite_float(value, token)
+        value = Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+    except ZeroDivisionError:
+        raise FormatError(f"zero denominator in token {token!r}") from None
+    if root:
+        value = SqrtRational.sqrt(value)
+    if sign == "-":
+        value = -value
+    return _finite_float(value, token) if mode == "float" else value
 
 
 def _finite_float(value, token: str) -> float:
@@ -239,7 +234,3 @@ def _finite_float(value, token: str) -> float:
     if not math.isfinite(out):
         raise FormatError(f"non-finite scalar token {token!r}")
     return out
-
-
-def is_exact_token(token: str) -> bool:
-    return bool(_RATIONAL_RE.match(token) or _SQRT_RE.match(token))

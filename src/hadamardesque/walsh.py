@@ -260,7 +260,8 @@ def _pair_sums(m: int, indices: Sequence[int], numerators: Sequence[int]) -> lis
     # Measured for m = 6..16: the sign-block Gram product beats the FWHT up to
     # n*m ~ 2*2^m in int64, ~ 2^m/3 in Python ints.  n*m < 2^m sends a matrix's
     # own columns to the Gram product, near-full weight vectors to the FWHT.
-    if m * len(indices) < 1 << m:
+    # Bit length, not 1 << m: a huge m must not build a huge int.
+    if (m * len(indices)).bit_length() <= m:
         dtype = np.int64 if sum(map(abs, numerators)) < _INT64_BOUND else object
         block = _sign_block(m, indices).astype(dtype)
         gram = (block * np.array(numerators, dtype=dtype)) @ block.T

@@ -107,3 +107,31 @@ def random_fraction(rng, num_range=9, den_range=9, allow_negative=True) -> Fract
     if rng.random() < 0.2:
         num = 0
     return Fraction(num, rng.randint(1, den_range))
+
+
+def _square_and_sign(entry):
+    if hasattr(entry, "square"):  # SqrtRational keeps both exactly
+        return entry.square, entry.sign
+    return Fraction(entry) ** 2, (entry > 0) - (entry < 0)
+
+
+def factor_by_squares(entries):
+    """Factor dense columns from per-entry squares and signs.
+
+    Each normalised sign column is looked up in the recursion-built truth
+    table.  Returns the (q, index) pairs and the flipped column positions;
+    raises ValueError for a zero column or one with mixed moduli.
+    """
+    truth_columns = list(zip(*truth_by_recursion(len(entries))))
+    pairs, flipped = [], []
+    for pos, col in enumerate(zip(*entries), start=1):
+        squares, signs = zip(*map(_square_and_sign, col))
+        if set(squares) == {0}:
+            raise ValueError(f"column {pos} is zero")
+        if len(set(squares)) != 1:
+            raise ValueError(f"column {pos} has mixed moduli")
+        if signs[0] < 0:
+            signs = tuple(-s for s in signs)
+            flipped.append(pos)
+        pairs.append((squares[0], truth_columns.index(signs) + 1))
+    return tuple(pairs), tuple(flipped)

@@ -6,11 +6,13 @@ import pytest
 
 import goldens
 from limits import GIB, run_limited
-from oracles import column_product_sums, row_dots
+from oracles import column_product_sums, factor_by_squares, row_dots
 from hadamardesque import (
+    OUTPUT_ENTRY_BUDGET,
     DenseMatrix,
     HadamardesqueMatrix,
     RepresentationVector,
+    ResourceLimitError,
     ShapeError,
     SqrtRational,
     WeightedColumn,
@@ -20,6 +22,7 @@ from hadamardesque import (
     in_free_span,
     is_hadamard,
     is_partial_hadamard,
+    pair_count,
     pairwise_dots,
     parse_matrix,
     same_pairwise_dots,
@@ -80,6 +83,29 @@ def test_factor_rejects_zero_column():
         to_hadamardesque(DenseMatrix(((1, 0), (1, 0))))
 
 
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        (((0, 1), (0, 1)), "column 1 is zero"),
+        (((1, 1), (1, 2)), "column 2: entries do not share a common modulus"),
+        (((0,), (SqrtRational.sqrt(2),), (0,)), "column 1: entries do not share a common modulus"),
+    ],
+    ids=["zero", "mixed-modulus", "zero-lead"],
+)
+def test_factor_refusals_match_the_square_oracle(rows, message):
+    with pytest.raises(ShapeError, match=message):
+        factor_columns(DenseMatrix(rows))
+    with pytest.raises(ValueError, match=message.split(":")[0]):
+        factor_by_squares(rows)
+
+
+def test_float_column_with_a_zero_lead_is_flipped():
+    # Only a tolerance >= 1 lets a 0.0 modulus pass; its sign counts as negative.
+    factored = factor_columns(DenseMatrix.from_rows(((0.0,), (1.0,)), exact=False), tol=1)
+    assert factored.flipped_columns == (1,)
+    assert [(c.q, c.index) for c in factored.matrix.columns] == [(Fraction(1, 4), 2)]
+
+
 def test_factor_rejects_tol_on_exact_input():
     with pytest.raises(ValueError):
         factor_columns(DenseMatrix(goldens.H4), tol=1e-9)
@@ -132,6 +158,25 @@ def test_huge_row_count_is_checked_by_bit_length():
     )
     result = run_limited(code, limit=2 * GIB)
     assert (result.returncode, result.stdout, result.stderr) == (0, "2\nrefused\n", "")
+
+
+def test_pairwise_dots_output_is_within_the_entry_budget():
+    assert pair_count(2896) <= OUTPUT_ENTRY_BUDGET < pair_count(2897)
+    with pytest.raises(ResourceLimitError, match="4194856"):
+        pairwise_dots(HadamardesqueMatrix(2897, (WeightedColumn(q=1, index=1),)))
+
+
+def test_pairwise_dots_of_a_huge_row_count_is_refused_before_allocating():
+    code = (
+        "from hadamardesque import HadamardesqueMatrix, ResourceLimitError, WeightedColumn\n"
+        "from hadamardesque import pairwise_dots\n"
+        "try:\n"
+        "    pairwise_dots(HadamardesqueMatrix(10**11, (WeightedColumn(1, 1),)))\n"
+        "except ResourceLimitError:\n"
+        "    print('refused')\n"
+    )
+    result = run_limited(code, limit=GIB)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "refused\n", "")
 
 
 def test_dense_expansion_entries():

@@ -1,7 +1,13 @@
+import ast
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import goldens
 from limits import run_cli_limited
@@ -420,3 +426,125 @@ def test_search_of_a_huge_odd_order_is_exhausted_at_the_root():
     result = run_cli_limited("search", "100000000001")
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "no solutions (exhaustive)"
+
+
+# --- every CLI number goes through the token grammar ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name,text",
+    [
+        ("v.txt", "sqrt(2) 1\n"),
+        ("v.json", '{"m": 2, "v": ["1/0", "1"]}'),
+        ("v.json", '{"m": 2, "v": [1e400, 1]}'),
+        ("v.json", '{"m": 2, "v": [0.5, 1]}'),
+        ("v.json", '{"m": 2, "v": [true, 1]}'),
+        ("v.json", '{"m": 2, "v": [null, 1]}'),
+        ("v.json", '{"m": 2, "v": ["sqrt(2)", 1]}'),
+        ("v.json", '{"m": 2, "v": [" 1", 1]}'),
+    ],
+)
+def test_in_span_entries_outside_the_grammar_are_input_errors(capsys, tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "in-span", str(path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_in_span_json_entries_may_be_integers_or_tokens(capsys, tmp_path):
+    text, record = tmp_path / "v.txt", tmp_path / "v.json"
+    text.write_text("1 1 2 1\n")
+    record.write_text('{"m": 3, "v": [1, "1", "sqrt(4)", "2/2"]}')
+    expected = run(capsys, "in-span", str(text))
+    assert expected[0] == 0 and expected[1].startswith("false\n")
+    assert run(capsys, "in-span", str(record)) == expected
+
+
+@pytest.mark.parametrize("shift", ["sqrt(2)", "-sqrt(3/5)", "1/0", "0.5", "x"])
+def test_construct_shift_outside_the_rationals_is_an_input_error(capsys, shift):
+    code, out, err = run(capsys, "construct", "2", "1", f"--shift={shift}")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_cli_builds_fractions_in_one_helper():
+    import hadamardesque.cli as cli
+
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    helpers = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_rational"
+    ]
+    assert len(helpers) == 1
+    inside = {id(node) for node in ast.walk(helpers[0])}
+    stray = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Fraction"
+        and id(node) not in inside
+    ]
+    assert stray == []
+
+
+# --- no input makes a file-reading command print a traceback ----------------------------
+
+TOKENS = st.sampled_from(
+    ["1", "-1", "0", "3/4", "-2/6", "sqrt(2)", "-sqrt(1/2)", "sqrt(9/4)", "0.5", "-1.0",
+     "x", "", "sqrt()", "sqrt(-2)", "--3", "1/", "2e3", "1/0", "sqrt(1/0)", "-0/0",
+     "inf", "-inf", "nan", "1e400", "1" + "0" * 400, "9" * 5000, "sqrt(" + "7" * 400 + ")"]
+)
+JSON_VALUES = st.sampled_from(
+    ['"1"', '"3/4"', '"sqrt(2)"', '"1/0"', '"x"', '" 1"', '"0.5"', "1", "0", "-1",
+     "0.5", "1e400", "true", "false", "null", "[1]", "{}", "1" + "0" * 400]
+)
+TOL = st.sampled_from(["0", "1e-9", "1", "nan", "inf", "-1"])
+
+
+@st.composite
+def file_commands(draw):
+    kind = draw(st.sampled_from(["in-span-text", "in-span-json", "construct", "matrix"]))
+    if kind == "in-span-text":
+        return ["in-span", "FILE"], " ".join(draw(st.lists(TOKENS, max_size=5)))
+    if kind == "in-span-json":
+        m = draw(st.sampled_from(["1", "2", "3", "0", "-1", "40", "2.0", "true", "null", '"2"']))
+        values = ", ".join(draw(st.lists(JSON_VALUES, max_size=4)))
+        return ["in-span", "FILE"], f'{{"m": {m}, "v": [{values}]}}'
+    if kind == "construct":
+        m = draw(st.integers(min_value=-1, max_value=4))
+        # A leading space keeps argparse from reading "-1/2,..." as an option.
+        argv = ["construct", str(m), " " + ",".join(draw(st.lists(TOKENS, max_size=7)))]
+        if draw(st.booleans()):
+            argv.append("--shift=" + draw(TOKENS | st.sampled_from(["minimal", "minimal-integer"])))
+        argv += draw(st.sampled_from([[], ["--multiset"], ["--flavor=rational"],
+                                      ["--flavor=irrational"]]))
+        return argv, None
+    command = draw(st.sampled_from(["dots", "crv", "classify"]))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    header = draw(st.sampled_from([f"{rows} {cols}", f"{rows} {cols + 1}", "0 1", "x"]))
+    body = [" ".join(draw(st.lists(TOKENS, min_size=cols, max_size=cols))) for _ in range(rows)]
+    argv = [command, "FILE"] + draw(st.sampled_from([[], ["--exact"]]))
+    if command != "classify" and draw(st.booleans()):
+        argv += ["--tol=" + draw(TOL)] + draw(st.sampled_from([[], ["--json"]]))
+    return argv, "\n".join([header, *body]) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(file_commands())
+def test_file_reading_commands_never_print_a_traceback(command):
+    argv, text = command
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        argv = [str(path) if arg == "FILE" else arg for arg in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(("error: ", "infeasible: ", "resource limit: "))

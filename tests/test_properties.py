@@ -5,21 +5,25 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import pair_products_by_rows
+from oracles import factor_by_squares, pair_products_by_rows, truth_by_recursion
 from hadamardesque import walsh
 from hadamardesque import (
     ConstructionOptions,
     DenseMatrix,
     HadamardesqueMatrix,
     RepresentationVector,
+    SqrtRational,
     WeightedColumn,
     column_representation,
     construct_crv,
     construct_matrix,
+    factor_columns,
+    format_matrix,
     fwht,
     in_free_span,
     pair_count,
     pairwise_dots,
+    parse_matrix,
     realize_canonical,
     same_pairwise_dots,
     to_hadamardesque,
@@ -46,6 +50,38 @@ def weighted_columns(m):
 def hadamardesque_matrices(draw):
     m = draw(st.integers(min_value=2, max_value=6))
     return HadamardesqueMatrix(m, tuple(draw(weighted_columns(m))))
+
+
+dyadic_scales = st.builds(Fraction, st.integers(1, 12), st.sampled_from((1, 2, 4, 8)))
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.booleans(), st.data())
+def test_printed_matrices_factor_like_the_square_oracle(m, floats, data):
+    # Float matrices use dyadic scales, exact in binary, some entries printed
+    # as rational tokens; exact ones mix sqrt and rational scales.
+    truth = truth_by_recursion(m)
+    drawn, columns = [], []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
+        index = data.draw(st.integers(min_value=1, max_value=1 << (m - 1)))
+        q = data.draw(positive_rationals) if not floats else data.draw(dyadic_scales) ** 2
+        scale = SqrtRational.sqrt(q)
+        sign = data.draw(st.sampled_from((1, -1)))
+        drawn.append((q, index))
+        columns.append([sign * row[index - 1] * scale for row in truth])
+    rows = list(zip(*columns))
+    if floats:
+        dense = DenseMatrix(
+            tuple(tuple(float(e) if data.draw(st.booleans()) else e for e in row) for row in rows),
+            is_exact=False,
+        )
+    else:
+        dense = DenseMatrix.from_rows(rows)
+    parsed = parse_matrix(format_matrix(dense))
+    factored = factor_columns(parsed, 0.0)
+    pairs = tuple((c.q, c.index) for c in factored.matrix.columns)
+    assert (pairs, factored.flipped_columns) == factor_by_squares(parsed.entries)
+    assert list(pairs) == drawn
 
 
 @given(hadamardesque_matrices(), st.data())
