@@ -218,6 +218,9 @@ def parse_scalar(token: str, *, mode: str = "exact"):
         value = Fraction(int(num)) if den is None else Fraction(int(num), int(den))
     except ZeroDivisionError:
         raise FormatError(f"zero denominator in token {token!r}") from None
+    except ValueError:  # past the interpreter's int-string digit limit
+        digits = len(num) + len(den or "")
+        raise FormatError(f"token {token[:20]!r}... with {digits} digits is too long") from None
     if root:
         value = SqrtRational.sqrt(value)
     if sign == "-":

@@ -14,6 +14,18 @@ not permutations.  Optionally the all-ones column can be forced into every
 solution: negating the rows where any chosen column is negative (then
 renormalising column signs) maps solutions onto solutions containing it.
 
+The prune is read off *tight* pairs.  For even m, a node with r columns
+still to choose has every pair sum s of the parity of r, and |s| <= r
+because its parent admitted it.  A candidate column adds t = +-1, and
+|s + t| <= r - 1 can fail only when |s| = r, where t must have the sign
+opposite to s.  A pair that is tight at a node stays tight, with the same
+sign, in every child, so a column that passes a child's test passed its
+parent's too.  Candidates are therefore one Python-int bitset over the
+columns (bit j-1 for column j): a child takes its parent's surviving bits
+above its own column and ANDs in, for each tight pair p, ``minus[p]`` (the
+columns whose product on p is -1) or its complement ``plus[p]``.  Both are
+built once per run from the pair-sign table.
+
 The search is one sequential depth-first walk from the root under one set
 of budgets, so partial runs are deterministic too: every run visits the same
 nodes in the same order, a node-limited run repeats exactly, and a
@@ -102,9 +114,6 @@ class _Run:
     on_solution: object
     nodes: int = 0
     solutions: list = field(default_factory=list)
-    bound: np.ndarray | None = None  # flat DFS scratch, one entry per table entry
-    fits: np.ndarray | None = None
-    views: dict = field(default_factory=dict)  # segment shape -> (bound, fits) views
 
     def visit(self):
         # Check before counting: a run never reports more than node_limit
@@ -125,30 +134,41 @@ class _Run:
             raise _Stop("solutions")
 
 
-def _dfs(table: np.ndarray, chosen: tuple[int, ...], sums: np.ndarray, start: int,
-         remaining: int, run: _Run) -> None:
+def _dfs(table: np.ndarray, minus: list[int], plus: list[int], chosen: tuple[int, ...],
+         sums: np.ndarray, candidates: int, remaining: int, run: _Run) -> None:
+    """Walk the subtree below `chosen`, whose pair sums are `sums`.
+
+    `candidates` holds the columns above the last chosen one that passed
+    every ancestor's test.  With `remaining` = r > 0, a column j passes this
+    node's test when |s + table[:, j-1]| <= r - 1 on every pair.  Sums have
+    the parity of r (m is even) and |s| <= r, so only tight pairs (|s| = r)
+    can fail it, and on those the column's product must be -sign(s): one
+    AND with ``minus[p]`` or ``plus[p]`` per tight pair.  Tight pairs stay
+    tight in every child, so the inherited bits already passed the
+    ancestors' tests and the ANDs leave exactly this node's feasible set.
+    Columns are then visited in ascending order up to the last one leaving
+    room for the rest.
+    """
     if remaining == 0:
         if not np.any(sums):
             run.emit(chosen)
         return
+    row = sums.tobytes()  # a tight sum r or -r is the int8 byte r or 256 - r
+    for value, masks in ((remaining, minus), (256 - remaining, plus)):
+        p = row.find(value)
+        while p >= 0:
+            candidates &= masks[p]
+            p = row.find(value, p + 1)
     hi = table.shape[1] - remaining + 1  # last index leaving room for the rest
-    if start > hi:
-        return
-    segment = table[:, start - 1 : hi]
-    # Sums have the parity of the chosen-column count, so for even m the
-    # bound check below is the whole parity-aware prune (odd m never leaves
-    # the root).  It runs in contiguous views of flat scratch: fresh
-    # temporaries per node would each be an mmap in glibc malloc.
-    if (views := run.views.get(segment.shape)) is None:
-        size, shape = segment.size, segment.shape
-        views = run.views[shape] = run.bound[:size].reshape(shape), run.fits[:size].reshape(shape)
-    bound, fits = views  # outputs passed by position: out= costs ~5 us per node
-    np.abs(np.add(sums[:, None], segment, bound), bound)
-    feasible = np.flatnonzero(np.less_equal(bound, remaining - 1, fits).all(axis=0))
-    for offset in feasible:
+    while candidates:
+        low = candidates & -candidates
+        j = low.bit_length()
+        if j > hi:
+            return
+        candidates ^= low
         run.visit()
-        j = start + int(offset)
-        _dfs(table, chosen + (j,), sums + segment[:, offset], j + 1, remaining - 1, run)
+        _dfs(table, minus, plus, chosen + (j,), sums + table[:, j - 1], candidates,
+             remaining - 1, run)
 
 
 def find_hadamard_column_sets(m: int, limit: int | None = None,
@@ -177,14 +197,17 @@ def find_hadamard_column_sets(m: int, limit: int | None = None,
     # exhausted at the root without expanding anything.
     if m % 2 == 0:
         table = pair_sign_table(m)
-        run.bound, run.fits = np.empty(table.size, np.int16), np.empty(table.size, bool)
+        everything = (1 << table.shape[1]) - 1  # bit j-1 stands for column j
+        minus = [int.from_bytes(np.packbits(row < 0, bitorder="little").tobytes(), "little")
+                 for row in table]
+        plus = [everything ^ bits for bits in minus]
         try:
             if opts.force_first_column:
                 run.visit()
-                _dfs(table, (1,), table[:, 0].astype(np.int16), 2, m - 1, run)
+                _dfs(table, minus, plus, (1,), table[:, 0], everything - 1, m - 1, run)
             else:
-                sums = np.zeros(table.shape[0], dtype=np.int16)
-                _dfs(table, (), sums, 1, m, run)
+                sums = np.zeros(table.shape[0], dtype=np.int8)
+                _dfs(table, minus, plus, (), sums, everything, m, run)
         except _Stop as stop:
             reason = stop.args[0]
 

@@ -100,6 +100,59 @@ def brute_force_column_sets(m: int, chunk: int = 200_000):
     return solutions, checked
 
 
+def search_walk(m: int, force_first_column: bool = False, node_limit: int | None = None):
+    """The search engine's walk, by a literal pure-Python DFS (even m only).
+
+    Columns of the recursion-built truth table are chosen in ascending
+    order.  With r columns still to choose, a column is admitted when every
+    row-pair sum stays within r - 1 after adding its products, and only up
+    to the last column that leaves room for the rest.  Each admitted column
+    is one node, counted before it is expanded; a forced all-ones column is
+    the first node.  At most node_limit nodes are visited.
+
+    Returns (walk, emitted): the chosen-column tuple of every node in visit
+    order, and (solution, nodes visited when it was found) for every
+    solution.
+    """
+    assert m % 2 == 0
+    truth = truth_by_recursion(m)
+    pairs = [(i, j) for j in range(1, m) for i in range(j)]
+    products = [None] + [
+        tuple(truth[i][c] * truth[j][c] for i, j in pairs) for c in range(len(truth[0]))
+    ]
+    n_cols = len(truth[0])
+    walk, emitted = [], []
+
+    class Stop(Exception):
+        pass
+
+    def visit(chosen):
+        if node_limit is not None and len(walk) >= node_limit:
+            raise Stop
+        walk.append(chosen)
+
+    def expand(chosen, sums, start, remaining):
+        if remaining == 0:
+            if not any(sums):
+                emitted.append((chosen, len(walk)))
+            return
+        for c in range(start, n_cols - remaining + 2):
+            after = [s + t for s, t in zip(sums, products[c])]
+            if all(abs(s) <= remaining - 1 for s in after):
+                visit(chosen + (c,))
+                expand(chosen + (c,), after, c + 1, remaining - 1)
+
+    try:
+        if force_first_column:
+            visit((1,))
+            expand((1,), list(products[1]), 2, m - 1)
+        else:
+            expand((), [0] * len(pairs), 1, m)
+    except Stop:
+        pass
+    return walk, emitted
+
+
 def random_fraction(rng, num_range=9, den_range=9, allow_negative=True) -> Fraction:
     num = rng.randint(1, num_range)
     if allow_negative and rng.random() < 0.5:

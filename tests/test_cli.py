@@ -313,6 +313,17 @@ def test_malformed_matrix_names_line(capsys, tmp_path):
     assert "line 3" in err and "bogus!" in err
 
 
+@pytest.mark.parametrize("command", ["crv", "dots", "classify"])
+def test_entry_past_the_int_digit_limit_names_line(capsys, tmp_path, command):
+    # 5,000 digits is past Python's default int-string limit of 4,300.
+    path = tmp_path / "huge.txt"
+    path.write_text("2 2\n1 1\n1 " + "7" * 5000 + "\n")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 3: ") and err.count("\n") == 1
+    assert "5000 digits" in err and "7" * 100 not in err
+
+
 def test_resource_limit_exit_code(capsys):
     code, _, err = run(capsys, "truth-table", "20")
     assert code == 4

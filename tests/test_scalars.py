@@ -95,6 +95,17 @@ def test_parse_rejects_malformed_exact_tokens(token):
         parse_scalar(token, mode="exact")
 
 
+@pytest.mark.parametrize("mode", ["exact", "float", "auto"])
+@pytest.mark.parametrize(
+    "token",
+    ["9" * 5000, "-1/" + "3" * 4400, "sqrt(" + "2" * 4400 + ")"],
+    ids=["integer", "denominator", "radicand"],
+)
+def test_parse_refuses_integers_past_the_digit_limit(token, mode):
+    with pytest.raises(FormatError, match=r"token '.{1,20}'\.\.\. with \d{4} digits"):
+        parse_scalar(token, mode=mode)
+
+
 def test_parse_float_mode():
     assert parse_scalar("1.5", mode="float") == 1.5
     assert parse_scalar("sqrt(2)", mode="float") == pytest.approx(2 ** 0.5)

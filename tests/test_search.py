@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import goldens
-from oracles import brute_force_column_sets, pair_products_by_rows, row_dots
+from oracles import brute_force_column_sets, pair_products_by_rows, row_dots, search_walk
 from hadamardesque import search
 from hadamardesque import (
     ResourceLimitError,
@@ -83,6 +83,40 @@ def test_solutions_stream_before_the_search_ends(monkeypatch):
     assert seen_at[0] < report.nodes == len(visits) == 27
 
 
+def _engine_walk(monkeypatch, m, force_first_column, node_limit=None):
+    """The engine's run as search_walk reports it: node tuples and emission counts."""
+    visits, walk, emitted = [], [], []
+    visit, dfs = search._Run.visit, search._dfs
+
+    def counting_visit(run):
+        visit(run)
+        visits.append(run.nodes)
+
+    def recording_dfs(table, minus, plus, chosen, *rest):
+        if chosen:
+            walk.append(chosen)
+        dfs(table, minus, plus, chosen, *rest)
+
+    monkeypatch.setattr(search._Run, "visit", counting_visit)
+    monkeypatch.setattr(search, "_dfs", recording_dfs)
+    options = SearchOptions(node_limit=node_limit, force_first_column=force_first_column)
+    report = find_hadamard_column_sets(
+        m, options=options, on_solution=lambda columns: emitted.append((columns, visits[-1]))
+    )
+    assert report.nodes == len(visits) == len(walk)
+    assert report.solutions == tuple(columns for columns, _ in emitted)
+    return walk, emitted
+
+
+@pytest.mark.parametrize("force_first_column", [False, True])
+@pytest.mark.parametrize(("m", "node_limit"), [(4, None), (6, None), (8, 4_000)])
+def test_walk_matches_the_literal_pair_sum_dfs(monkeypatch, m, node_limit, force_first_column):
+    walk, emitted = _engine_walk(monkeypatch, m, force_first_column, node_limit)
+    assert (walk, emitted) == search_walk(m, force_first_column, node_limit)
+    if node_limit is not None:
+        assert len(walk) == node_limit
+
+
 def test_node_limit_partial():
     report = find_hadamard_column_sets(6, options=SearchOptions(node_limit=50))
     assert not report.exhaustive
@@ -139,6 +173,21 @@ def test_node_limited_runs_repeat():
     assert runs[0].nodes == runs[1].nodes == 20_000
     assert runs[0].solutions == runs[1].solutions
     assert runs[0].limit_fired == runs[1].limit_fired == "nodes"
+
+
+@pytest.mark.parametrize(
+    ("m", "fields"),
+    [
+        (16, {"force_first_column": True, "node_limit": 20_000}),
+        (20, {"node_limit": 2_000}),
+    ],
+)
+def test_large_order_node_limited_runs_repeat(m, fields):
+    runs = [find_hadamard_column_sets(m, options=SearchOptions(**fields)) for _ in range(2)]
+    assert runs[0].nodes == runs[1].nodes == fields["node_limit"]
+    assert runs[0].solutions == runs[1].solutions
+    assert runs[0].limit_fired == runs[1].limit_fired == "nodes"
+    assert runs[0].normalized == fields.get("force_first_column", False)
 
 
 @pytest.mark.parametrize(
