@@ -16,9 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, lcm
 
+import numpy as np
+
 from .dense import DenseMatrix
 from .errors import ShapeError
-from .scalars import SqrtRational
+from .scalars import SqrtRational, format_scalar
 from .walsh import (
     _check_entries,
     _pair_sums,
@@ -113,7 +115,7 @@ class RepresentationVector:
             raise ValueError("representation vector coordinates must be nonnegative")
 
     def to_record(self) -> dict:
-        return {"m": self.m, "v": [str(v) for v in self.values]}
+        return {"m": self.m, "v": [format_scalar(v) for v in self.values]}
 
 
 @dataclass(frozen=True)
@@ -133,8 +135,6 @@ class PairwiseDots:
             )
 
     def to_record(self) -> dict:
-        from .scalars import format_scalar
-
         return {"m": self.m, "a": [format_scalar(v) for v in self.values]}
 
 
@@ -161,6 +161,14 @@ class Factorization:
 # Factoring dense matrices
 
 
+def _lead(lead) -> tuple:
+    """An exact leading entry's negation, square and sign, and a memo of the
+    sign of each entry object compared with it, keyed by id."""
+    if isinstance(lead, SqrtRational):
+        return -lead, lead.square, lead.sign, {id(lead): 1}
+    return -lead, lead * lead, (lead > 0) - (lead < 0), {id(lead): 1}
+
+
 def factor_columns(matrix: DenseMatrix, tol: float | None = None) -> Factorization:
     """Factor each column as sqrt(q) times a truth column, in one pass per column.
 
@@ -170,7 +178,13 @@ def factor_columns(matrix: DenseMatrix, tol: float | None = None) -> Factorizati
     largest, with q the squared mean modulus.  Columns whose leading entry
     is not positive are normalised by a global sign flip (their pairwise
     products are unchanged); the flipped input positions are reported.
-    Raises ShapeError for a zero column or a column whose entries do not
+
+    Exact work is done once per distinct value object, not per entry: a
+    leading entry's negation, square and sign once per call, and each
+    entry's comparison with a leading entry once, remembered by identity
+    (a parsed file shares one object per distinct token).  A first sight
+    compares by value, so equal entries that are distinct objects factor
+    too.  Raises ShapeError for a zero column or a column whose entries do not
     share one modulus, and ValueError for a tolerance that is negative or
     not finite.
     """
@@ -182,26 +196,35 @@ def factor_columns(matrix: DenseMatrix, tol: float | None = None) -> Factorizati
     tol = DEFAULT_FLOAT_TOL if tol is None else tol
     columns = []
     flipped = []
+    leads: dict[int, tuple] = {}  # id(exact leading entry) -> _lead(entry)
+    squares: dict[float, Fraction] = {}  # float mean modulus -> its exact square
     for j, col in enumerate(zip(*matrix.entries), start=1):
         lead = col[0]
         if exact:
-            neg = -lead
-            signs = [1 if e == lead else -1 if e == neg else 0 for e in col]
-            zero, spread = not any(col), 0 in signs
-            up = (lead.sign if isinstance(lead, SqrtRational) else lead) > 0
+            neg, q, sign, seen = leads.get(id(lead)) or leads.setdefault(id(lead), _lead(lead))
+            signs = list(map(seen.get, map(id, col)))
+            if None in signs:  # an entry object new to this lead: compare by value, once
+                signs = [
+                    seen[id(e)] if id(e) in seen
+                    else seen.setdefault(id(e), 1 if e == lead else -1 if e == neg else 0)
+                    for e in col
+                ]
+            spread = 0 in signs
+            zero, up = not (spread or sign), sign > 0
         else:
-            moduli = [abs(e) for e in col]
+            moduli = list(map(abs, col))
             top = max(moduli)
             zero, spread = top == 0.0, top - min(moduli) > tol * top
             up = lead > 0
             signs = [1 if (e > 0) == up else -1 for e in col]
+            mean = sum(moduli) / len(moduli)
+            q = squares.get(mean) or squares.setdefault(mean, Fraction(mean) ** 2)
         if zero:
             raise ShapeError(f"column {j} is zero")
         if spread:
             raise ShapeError(f"column {j}: entries do not share a common modulus")
         if not up:
             flipped.append(j)
-        q = lead * lead if exact else Fraction(sum(moduli) / len(moduli)) ** 2
         columns.append(WeightedColumn(q=q, index=column_from_signs(signs)))
     return Factorization(HadamardesqueMatrix(matrix.rows, tuple(columns)), tuple(flipped))
 
@@ -312,12 +335,10 @@ def _entries_unit(matrix: DenseMatrix) -> bool:
 
 
 def _direct_row_dots_zero(matrix: DenseMatrix) -> bool:
-    rows = matrix.entries
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if sum(a * b for a, b in zip(rows[i], rows[j])) != 0:
-                return False
-    return True
+    """Rows pairwise orthogonal, by one integer Gram product; entries must be +-1."""
+    signs = np.array([[1 if e == 1 else -1 for e in row] for row in matrix.entries], np.int64)
+    gram = signs @ signs.T
+    return not np.any(gram[np.triu_indices(len(gram), 1)])
 
 
 def is_hadamard(matrix: DenseMatrix) -> bool:
@@ -379,10 +400,10 @@ class SquareClassification:
             "verdicts_agree": self.verdicts_agree,
             "representation": None
             if self.representation is None
-            else [[j, str(w)] for j, w in self.representation],
+            else [[j, format_scalar(w)] for j, w in self.representation],
             "flipped_columns": list(self.flipped_columns),
             "violations": [
-                {"pair": L, "rows": list(pair_rows(L)), "residual": str(r)}
+                {"pair": L, "rows": list(pair_rows(L)), "residual": format_scalar(r)}
                 for L, r in self.violations
             ],
         }

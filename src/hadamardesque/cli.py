@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .classify import (
@@ -92,7 +93,7 @@ def _cmd_crv(args) -> int:
     if args.json:
         print(json.dumps(rep.to_record()))
     else:
-        print(" ".join(str(v) for v in rep.values))
+        print(" ".join(format_scalar(v) for v in rep.values))
     return 0
 
 
@@ -136,7 +137,7 @@ def _cmd_in_span(args) -> int:
     print("true" if check.in_span else "false")
     for linear, residual in check.violations:
         i, j = pair_rows(linear)
-        print(f"pair L={linear} rows=({i},{j}) residual={residual}")
+        print(f"pair L={linear} rows=({i},{j}) residual={format_scalar(residual)}")
     return 0
 
 
@@ -150,7 +151,7 @@ def _cmd_construct(args) -> int:
     if args.multiset:
         record = {
             "m": matrix.m,
-            "columns": [[str(c.q), c.index, c.multiplicity] for c in matrix.columns],
+            "columns": [[format_scalar(c.q), c.index, c.multiplicity] for c in matrix.columns],
         }
         print(json.dumps(record))
     else:
@@ -195,6 +196,7 @@ def _cmd_verify_set(args) -> int:
 # Parser
 
 
+@cache  # built once per process; parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hadamardesque",

@@ -98,12 +98,16 @@ def format_matrix(matrix: DenseMatrix) -> str:
 
 
 def parse_matrix(text: str, *, mode: str = "auto") -> DenseMatrix:
-    """Parse the shared text format, each token once.
+    """Parse the shared text format, each distinct token once.
 
     mode="exact" rejects decimal literals; mode="float" forces floats;
     mode="auto" returns an exact matrix unless any token is a decimal
     literal, in which case every parsed value is converted to a float.
-    Token errors name their line.
+    The exact work (and in auto mode the float conversion) runs once per
+    distinct token string, and equal tokens share one immutable value, so a
+    file of scaled sign columns costs about its distinct tokens, not its
+    entries.  Token errors name the line of the first bad token in
+    row-major order.
     """
     if mode not in ("auto", "exact", "float"):
         raise ValueError(f"unknown parse mode {mode!r}")
@@ -130,16 +134,24 @@ def parse_matrix(text: str, *, mode: str = "auto") -> DenseMatrix:
             )
         tokens.append((line_no, row_tokens))
 
+    values: dict[str, object] = {}  # token -> value, in first-occurrence order
+    first_line: dict[str, int] = {}
     try:
-        rows = []
         for line_no, row_tokens in tokens:
-            rows.append([parse_scalar(tok, mode=mode) for tok in row_tokens])
+            for tok in dict.fromkeys(row_tokens):
+                if tok not in values:
+                    values[tok] = parse_scalar(tok, mode=mode)
+                    first_line[tok] = line_no
         is_exact = mode == "exact" or (
-            mode == "auto" and not any(isinstance(v, float) for row in rows for v in row)
+            mode == "auto" and not any(isinstance(v, float) for v in values.values())
         )
         if mode == "auto" and not is_exact:
-            for (line_no, row_tokens), row in zip(tokens, rows):
-                row[:] = map(_finite_float, row, row_tokens)
+            for tok, value in values.items():
+                line_no = first_line[tok]
+                values[tok] = _finite_float(value, tok)
     except FormatError as exc:
         raise FormatError(f"line {line_no}: {exc}") from None
-    return DenseMatrix(tuple(map(tuple, rows)), is_exact=is_exact)
+    value_of = values.__getitem__
+    return DenseMatrix(
+        tuple(tuple(map(value_of, row_tokens)) for _, row_tokens in tokens), is_exact=is_exact
+    )

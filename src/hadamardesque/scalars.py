@@ -184,14 +184,31 @@ def format_scalar(value) -> str:
     """Render a scalar as a shared-format token."""
     if isinstance(value, SqrtRational):
         if value.is_rational:
-            return str(value.as_fraction())
+            return _rational_token(value.as_fraction())
         prefix = "-" if value.sign < 0 else ""
-        return f"{prefix}sqrt({value.square})"
+        return f"{prefix}sqrt({_rational_token(value.square)})"
     if isinstance(value, (int, Fraction)):
-        return str(Fraction(value))
+        return _rational_token(Fraction(value))
     if isinstance(value, float):
         return repr(value)
     raise TypeError(f"cannot format {value!r} as a scalar token")
+
+
+def _rational_token(value: Fraction) -> str:
+    """str(value); FormatError for a value past the interpreter's int-string digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        num, den = abs(value.numerator), value.denominator
+        digits = _digit_count(num) + (_digit_count(den) if den != 1 else 0)
+        head = "-" * (value < 0) + str(num // 10 ** max(_digit_count(num) - 20, 0))
+        raise FormatError(f"value {head!r}... with {digits} digits is too long to print") from None
+
+
+def _digit_count(n: int) -> int:
+    """Decimal digits of an integer n >= 1, counted without converting it to a string."""
+    low = int((n.bit_length() - 1) * math.log10(2)) + 1  # the digits of 2^(bit_length - 1)
+    return low + (n >= 10**low)
 
 
 def parse_scalar(token: str, *, mode: str = "exact"):

@@ -83,6 +83,34 @@ def test_factor_rejects_zero_column():
         to_hadamardesque(DenseMatrix(((1, 0), (1, 0))))
 
 
+TWIN_TEXT = "3 3\n1/2 -sqrt(2) 1/2\n-1/2 sqrt(2) 1/2\n1/2 sqrt(2) -1/2\n"
+
+
+def test_factor_of_distinct_equal_objects_matches_the_parsed_twin():
+    # Every entry is a fresh object, so no comparison can be answered by identity.
+    half, root = (lambda: Fraction(1, 2)), (lambda: SqrtRational.sqrt(2))
+    built = DenseMatrix((
+        (half(), -root(), half()),
+        (-half(), root(), half()),
+        (half(), root(), -half()),
+    ))
+    assert len({id(e) for row in built.entries for e in row}) == 9
+    parsed = parse_matrix(TWIN_TEXT)
+    assert built == parsed
+    assert factor_columns(built) == factor_columns(parsed)
+    assert factor_columns(built).flipped_columns == (2,)
+
+
+@pytest.mark.parametrize("text", [
+    "2 2\n1/2 1/2\n-1/2 1/3\n",          # a later column reuses the lead object
+    "2 2\n1/2 1/2\n-1/2 -sqrt(1/2)\n",   # an irrational of another modulus
+    "2 2\n1/2 1/3\n-1/2 1/2\n",          # an entry already signed against another lead
+])
+def test_factor_with_a_warm_lead_still_refuses_another_modulus(text):
+    with pytest.raises(ShapeError, match="column 2: entries do not share a common modulus"):
+        factor_columns(parse_matrix(text))
+
+
 @pytest.mark.parametrize(
     "rows,message",
     [

@@ -324,6 +324,20 @@ def test_entry_past_the_int_digit_limit_names_line(capsys, tmp_path, command):
     assert "5000 digits" in err and "7" * 100 not in err
 
 
+@pytest.mark.parametrize("argv", [["crv"], ["crv", "--json"], ["dots"], ["dots", "--json"]])
+def test_output_past_the_int_digit_limit_names_the_value(capsys, tmp_path, argv):
+    # Entries of 3,001 digits parse; their square 10^6000 has 6,001 digits,
+    # past Python's default int-string limit of 4,300.
+    path = tmp_path / "long.txt"
+    path.write_text("2 1\n1" + "0" * 3000 + "\n-1" + "0" * 3000 + "\n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "6001 digits" in err and "too long to print" in err
+    assert "1000000000" in err and "0" * 100 not in err
+    assert "int_max_str_digits" not in err
+
+
 def test_resource_limit_exit_code(capsys):
     code, _, err = run(capsys, "truth-table", "20")
     assert code == 4

@@ -82,3 +82,55 @@ def test_accessors():
         matrix.entry(3, 1)
     with pytest.raises(IndexError):
         matrix.column(4)
+
+
+def _counting(monkeypatch, name):
+    """Patch hadamardesque.dense.<name> with a wrapper that counts its calls."""
+    import hadamardesque.dense as dense
+
+    calls = []
+    real = getattr(dense, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dense, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["auto", "exact", "float"])
+def test_parse_work_is_one_call_per_distinct_token(monkeypatch, mode):
+    rows = [["3/4", "-3/4", "sqrt(2)", "3/4"], ["-3/4", "3/4", "-sqrt(2)", "6/8"],
+            ["sqrt(2)", "sqrt(2)", "-sqrt(2)", "-3/4"]]
+    text = "3 4\n" + "".join(" ".join(row) + "\n" for row in rows)
+    calls = _counting(monkeypatch, "parse_scalar")
+    matrix = parse_matrix(text, mode=mode)
+    distinct = list(dict.fromkeys(tok for row in rows for tok in row))
+    assert calls == distinct  # 12 entries, 5 distinct tokens, first-occurrence order
+    assert matrix.entries[0][0] is matrix.entries[1][1] is matrix.entries[0][3]
+    assert matrix.entries[0][0] == matrix.entries[1][3]  # "6/8" is its own token
+
+
+def test_auto_float_conversion_is_one_call_per_distinct_token(monkeypatch):
+    calls = _counting(monkeypatch, "_finite_float")
+    matrix = parse_matrix("2 3\n0.5 -1/2 1/2\n-0.5 1/2 -1/2\n")
+    assert not matrix.is_exact
+    assert len(calls) == 4  # "0.5", "-1/2", "1/2", "-0.5"
+    assert matrix.entries == ((0.5, -0.5, 0.5), (-0.5, 0.5, -0.5))
+
+
+def test_repeated_bad_token_names_the_line_of_its_first_occurrence():
+    with pytest.raises(FormatError, match=r"^line 3: .*'x!'"):
+        parse_matrix("3 2\n1 1\n1 x!\nx! x!\n")
+    # The first bad token in row-major order wins, whichever is repeated.
+    with pytest.raises(FormatError, match=r"^line 3: .*'y!'"):
+        parse_matrix("3 2\n1 1\ny! 1\nx! y!\n")
+
+
+def test_repeated_unconvertible_token_names_the_line_of_its_first_occurrence():
+    # A 401-digit integer is exact until a decimal forces floats; it then overflows.
+    huge = "1" + "0" * 400
+    text = f"4 2\n1 1\n1 {huge}\n{huge} 0.5\n{huge} 1\n"
+    with pytest.raises(FormatError, match=r"^line 3: non-finite"):
+        parse_matrix(text)

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import factor_by_squares, pair_products_by_rows, truth_by_recursion
@@ -12,6 +13,7 @@ from hadamardesque import (
     DenseMatrix,
     HadamardesqueMatrix,
     RepresentationVector,
+    ShapeError,
     SqrtRational,
     WeightedColumn,
     column_representation,
@@ -82,6 +84,47 @@ def test_printed_matrices_factor_like_the_square_oracle(m, floats, data):
     pairs = tuple((c.q, c.index) for c in factored.matrix.columns)
     assert (pairs, factored.flipped_columns) == factor_by_squares(parsed.entries)
     assert list(pairs) == drawn
+
+
+# Spellings of one value each: (positive spellings, negative spellings).
+SPELLINGS = (
+    (["1/2", "2/4", "sqrt(1/4)", "+3/6"], ["-1/2", "-2/4", "-sqrt(1/4)"]),
+    (["2", "4/2", "sqrt(4)", "+sqrt(16/4)"], ["-2", "-sqrt(4)", "-6/3"]),
+    (["sqrt(2)", "sqrt(4/2)", "+sqrt(6/3)"], ["-sqrt(2)", "-sqrt(8/4)"]),
+    (["sqrt(3/4)", "sqrt(6/8)"], ["-sqrt(3/4)", "-sqrt(9/12)"]),
+    (["1", "3/3", "sqrt(1)"], ["-1", "-sqrt(1/1)"]),
+)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.data())
+def test_equal_value_spellings_factor_like_the_square_oracle(m, data):
+    # Equal values spelled differently parse to distinct objects, and repeated
+    # spellings share one; factoring must see values either way.  A column may
+    # get one entry of another modulus, which both sides must refuse.
+    truth = truth_by_recursion(m)
+    columns = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+        plus, minus = data.draw(st.sampled_from(SPELLINGS))
+        index = data.draw(st.integers(min_value=1, max_value=1 << (m - 1)))
+        sign = data.draw(st.sampled_from((1, -1)))
+        column = [data.draw(st.sampled_from(plus if sign * row[index - 1] > 0 else minus))
+                  for row in truth]
+        if data.draw(st.integers(0, 9)) == 0:
+            other, _ = data.draw(st.sampled_from([s for s in SPELLINGS if s[0] is not plus]))
+            column[data.draw(st.integers(0, m - 1))] = data.draw(st.sampled_from(other))
+        columns.append(column)
+    text = f"{m} {len(columns)}\n" + "".join(" ".join(row) + "\n" for row in zip(*columns))
+    parsed = parse_matrix(text)
+    try:
+        expected = factor_by_squares(parsed.entries)
+    except ValueError as exc:
+        with pytest.raises(ShapeError, match=str(exc).split(" has")[0]):
+            factor_columns(parsed, 0.0)
+        return
+    factored = factor_columns(parsed, 0.0)
+    pairs = tuple((c.q, c.index) for c in factored.matrix.columns)
+    assert (pairs, factored.flipped_columns) == expected
 
 
 @given(hadamardesque_matrices(), st.data())
