@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, lcm
+from operator import getitem
 
 import numpy as np
 
@@ -88,13 +89,13 @@ class HadamardesqueMatrix:
         Refused past OUTPUT_ENTRY_BUDGET entries (m * n, multiplicities included).
         """
         _check_entries(f"dense {self.m} x {self.n} matrix", self.m * self.n, 0)
-        scales = [(col.scale, col.multiplicity) for col in self.columns]
-        signs = _sign_block(self.m, [col.index for col in self.columns]).tolist()
-        rows = tuple(
-            tuple(entry for s, (scale, times) in zip(row, scales) for entry in [s * scale] * times)
-            for row in signs
-        )
-        return DenseMatrix.from_rows(rows)
+        # Each column's two entries are built once and picked by sign; both are canonical.
+        scales = [col.scale for col in self.columns]
+        times = [col.multiplicity for col in self.columns]
+        picks = [(s, -s) for s, k in zip(scales, times) for _ in range(k)]
+        signs = _sign_block(self.m, [col.index for col in self.columns])
+        negative = np.repeat(signs < 0, times, axis=1).tolist()
+        return DenseMatrix(tuple(tuple(map(getitem, picks, row)) for row in negative))
 
 
 @dataclass(frozen=True)
@@ -218,7 +219,10 @@ def factor_columns(matrix: DenseMatrix, tol: float | None = None) -> Factorizati
             up = lead > 0
             signs = [1 if (e > 0) == up else -1 for e in col]
             mean = sum(moduli) / len(moduli)
-            q = squares.get(mean) or squares.setdefault(mean, Fraction(mean) ** 2)
+            if mean == inf:  # the float sum overflowed: average the moduli exactly
+                q = (sum(map(Fraction, moduli)) / len(moduli)) ** 2
+            else:
+                q = squares.get(mean) or squares.setdefault(mean, Fraction(mean) ** 2)
         if zero:
             raise ShapeError(f"column {j} is zero")
         if spread:
@@ -229,9 +233,9 @@ def factor_columns(matrix: DenseMatrix, tol: float | None = None) -> Factorizati
     return Factorization(HadamardesqueMatrix(matrix.rows, tuple(columns)), tuple(flipped))
 
 
-def to_hadamardesque(matrix: DenseMatrix, tol: float | None = None) -> HadamardesqueMatrix:
-    """Factor a dense matrix into an m-Hadamardesque matrix (see factor_columns)."""
-    return factor_columns(matrix, tol).matrix
+def to_hadamardesque(matrix: DenseMatrix) -> HadamardesqueMatrix:
+    """Factor a dense matrix at factor_columns' default tolerance; return its matrix."""
+    return factor_columns(matrix).matrix
 
 
 # ---------------------------------------------------------------------------
@@ -272,32 +276,21 @@ def pairwise_dots(matrix: HadamardesqueMatrix) -> PairwiseDots:
     return PairwiseDots(matrix.m, values)
 
 
-def _as_vector(v, m: int | None):
-    if isinstance(v, RepresentationVector):
-        if m is not None and m != v.m:
-            raise ValueError(f"order mismatch: vector has m={v.m}, caller said m={m}")
-        return v.m, list(v.values)
-    values = list(v)
-    n = len(values)
-    if n == 0 or n & (n - 1):
-        raise ValueError(f"vector length must be a power of two, got {n}")
-    inferred = n.bit_length()  # n = 2^(m-1)  =>  m = log2(n) + 1
-    if m is not None and m != inferred:
-        raise ValueError(f"length {n} implies m={inferred}, caller said m={m}")
-    return inferred, values
-
-
-def in_free_span(v, m: int | None = None) -> SpanCheck:
+def in_free_span(v) -> SpanCheck:
     """Is v orthogonal to every pair-product row?
 
     Equivalently, does v lie in the span of the Hadamard rows that no row
     pair realises?  Accepts a RepresentationVector or any rational sequence
-    of length 2^(m-1) (difference vectors may be negative).  On failure the
-    violating pair indices are returned with their residual dot products.
+    of length 2^(m-1), from which m is read (difference vectors may be
+    negative).  On failure the violating pair indices are returned with
+    their residual dot products.
     """
-    order, values = _as_vector(v, m)
+    values = list(v.values if isinstance(v, RepresentationVector) else v)
+    n = len(values)
+    if n == 0 or n & (n - 1):
+        raise ValueError(f"vector length must be a power of two, got {n}")
     numerators, den = _rational_numerators(values)
-    return _span_check(order, range(1, len(numerators) + 1), numerators, den)
+    return _span_check(n.bit_length(), range(1, n + 1), numerators, den)
 
 
 def _span_check(m: int, indices, numerators: list[int], den: int) -> SpanCheck:
@@ -416,7 +409,7 @@ def classify_square(matrix: DenseMatrix) -> SquareClassification:
     m = matrix.rows
     direct = is_hadamard(matrix)
     try:
-        factored = factor_columns(matrix, None if matrix.is_exact else DEFAULT_FLOAT_TOL)
+        factored = factor_columns(matrix)
     except ShapeError:
         return SquareClassification(m, direct, False, False, None, (), ())
     indices, numerators, den = _column_weights(factored.matrix)

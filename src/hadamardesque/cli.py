@@ -45,7 +45,7 @@ def _parse_targets(text: str) -> list:
     tokens = [t for t in text.replace(",", " ").split() if t]
     if not tokens:
         raise FormatError("empty target list")
-    return [parse_scalar(tok, mode="exact") for tok in tokens]
+    return [parse_scalar(tok) for tok in tokens]
 
 
 def _rational(value, what: str) -> Fraction:
@@ -54,19 +54,14 @@ def _rational(value, what: str) -> Fraction:
         return Fraction(value)
     if not isinstance(value, str):
         raise FormatError(f"{what} must be a rational token or an integer, got {value!r}")
-    parsed = parse_scalar(value, mode="exact")
+    parsed = parse_scalar(value)
     if not isinstance(parsed, Fraction):
         raise FormatError(f"{what} {value!r} is irrational")
     return parsed
 
 
 def _matrix_from_file(args):
-    mode = "exact" if args.exact else "auto"
-    return parse_matrix(_read_text(args.matrix_file), mode=mode)
-
-
-def _tol(args) -> float | None:
-    return getattr(args, "tol", None)
+    return parse_matrix(_read_text(args.matrix_file), exact=args.exact)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +84,7 @@ def _cmd_ct_table(args) -> int:
 
 
 def _cmd_crv(args) -> int:
-    rep = column_representation(factor_columns(_matrix_from_file(args), _tol(args)).matrix)
+    rep = column_representation(factor_columns(_matrix_from_file(args), args.tol).matrix)
     if args.json:
         print(json.dumps(rep.to_record()))
     else:
@@ -98,7 +93,7 @@ def _cmd_crv(args) -> int:
 
 
 def _cmd_dots(args) -> int:
-    dots = pairwise_dots(factor_columns(_matrix_from_file(args), _tol(args)).matrix)
+    dots = pairwise_dots(factor_columns(_matrix_from_file(args), args.tol).matrix)
     if args.json:
         print(json.dumps(dots.to_record()))
     else:

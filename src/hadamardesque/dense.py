@@ -8,8 +8,8 @@ The text format is the interchange surface for every tool in the package:
     <row m>
 
 Entries are tokens of the one grammar in `scalars`: an optional sign, then
-``p``, ``p/q``, ``sqrt(p)`` or ``sqrt(p/q)``; float mode also takes decimal
-literals.
+``p``, ``p/q``, ``sqrt(p)`` or ``sqrt(p/q)``.  Decimal literals make a
+float matrix unless the parse is exact.
 """
 
 from __future__ import annotations
@@ -51,12 +51,9 @@ class DenseMatrix:
             raise ValueError("all rows must have equal length")
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence], *, exact: bool = True) -> "DenseMatrix":
-        if exact:
-            data = tuple(tuple(_coerce_exact(e) for e in row) for row in rows)
-        else:
-            data = tuple(tuple(float(e) for e in row) for row in rows)
-        return DenseMatrix(data, is_exact=exact)
+    def from_rows(rows: Sequence[Sequence]) -> "DenseMatrix":
+        """An exact matrix; rational-valued roots collapse to Fractions."""
+        return DenseMatrix(tuple(tuple(_coerce_exact(e) for e in row) for row in rows))
 
     @property
     def rows(self) -> int:
@@ -97,20 +94,17 @@ def format_matrix(matrix: DenseMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_matrix(text: str, *, mode: str = "auto") -> DenseMatrix:
+def parse_matrix(text: str, *, exact: bool = False) -> DenseMatrix:
     """Parse the shared text format, each distinct token once.
 
-    mode="exact" rejects decimal literals; mode="float" forces floats;
-    mode="auto" returns an exact matrix unless any token is a decimal
-    literal, in which case every parsed value is converted to a float.
-    The exact work (and in auto mode the float conversion) runs once per
-    distinct token string, and equal tokens share one immutable value, so a
-    file of scaled sign columns costs about its distinct tokens, not its
-    entries.  Token errors name the line of the first bad token in
-    row-major order.
+    The matrix is exact unless a token is a decimal literal, in which case
+    every parsed value is converted to a finite float.  With `exact` set, a
+    decimal literal is an error instead.  The exact work (and the float
+    conversion) runs once per distinct token string, and equal tokens share
+    one immutable value, so a file of scaled sign columns costs about its
+    distinct tokens, not its entries.  Token errors name the line of the
+    first bad token in row-major order.
     """
-    if mode not in ("auto", "exact", "float"):
-        raise ValueError(f"unknown parse mode {mode!r}")
     lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if not lines:
         raise FormatError("empty matrix text")
@@ -140,12 +134,10 @@ def parse_matrix(text: str, *, mode: str = "auto") -> DenseMatrix:
         for line_no, row_tokens in tokens:
             for tok in dict.fromkeys(row_tokens):
                 if tok not in values:
-                    values[tok] = parse_scalar(tok, mode=mode)
+                    values[tok] = parse_scalar(tok, exact=exact)
                     first_line[tok] = line_no
-        is_exact = mode == "exact" or (
-            mode == "auto" and not any(isinstance(v, float) for v in values.values())
-        )
-        if mode == "auto" and not is_exact:
+        is_exact = not any(isinstance(v, float) for v in values.values())
+        if not is_exact:
             for tok, value in values.items():
                 line_no = first_line[tok]
                 values[tok] = _finite_float(value, tok)

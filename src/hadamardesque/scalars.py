@@ -10,7 +10,8 @@ instances interoperate with int and Fraction.
 Text tokens follow one grammar, shared by matrix files and the CLI: an
 optional sign, then ``p``, ``p/q``, ``sqrt(p)`` or ``sqrt(p/q)`` with p, q
 unsigned integers.  Each token is matched once and its value built from the
-captured integers.  Float and auto modes also accept decimal literals.
+captured integers.  Outside exact parsing, decimal literals are read as
+finite floats.
 """
 
 from __future__ import annotations
@@ -182,19 +183,21 @@ class SqrtRational:
 
 def format_scalar(value) -> str:
     """Render a scalar as a shared-format token."""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, (int, Fraction)):
+        return _rational_token(value)
     if isinstance(value, SqrtRational):
         if value.is_rational:
             return _rational_token(value.as_fraction())
         prefix = "-" if value.sign < 0 else ""
         return f"{prefix}sqrt({_rational_token(value.square)})"
-    if isinstance(value, (int, Fraction)):
-        return _rational_token(Fraction(value))
     if isinstance(value, float):
         return repr(value)
     raise TypeError(f"cannot format {value!r} as a scalar token")
 
 
-def _rational_token(value: Fraction) -> str:
+def _rational_token(value: int | Fraction) -> str:
     """str(value); FormatError for a value past the interpreter's int-string digit limit."""
     try:
         return str(value)
@@ -211,19 +214,16 @@ def _digit_count(n: int) -> int:
     return low + (n >= 10**low)
 
 
-def parse_scalar(token: str, *, mode: str = "exact"):
+def parse_scalar(token: str, *, exact: bool = True):
     """Parse one scalar token.
 
-    mode="exact" accepts grammar tokens only and returns a Fraction, or a
-    SqrtRational for an irrational root; mode="float" returns finite floats
-    (evaluating grammar tokens exactly first); mode="auto" returns the exact
-    value of a grammar token and a float for a decimal literal.
+    A grammar token gives its exact value: a Fraction, or a SqrtRational for
+    an irrational root.  A decimal literal gives a finite float, unless
+    `exact` is set, which refuses it as a malformed exact token.
     """
-    if mode not in ("exact", "float", "auto"):
-        raise ValueError(f"unknown parse mode {mode!r}")
     match = _TOKEN_RE.match(token)
     if match is None:
-        if mode == "exact":
+        if exact:
             raise FormatError(f"malformed exact token {token!r}")
         try:
             value = float(token)
@@ -240,9 +240,7 @@ def parse_scalar(token: str, *, mode: str = "exact"):
         raise FormatError(f"token {token[:20]!r}... with {digits} digits is too long") from None
     if root:
         value = SqrtRational.sqrt(value)
-    if sign == "-":
-        value = -value
-    return _finite_float(value, token) if mode == "float" else value
+    return -value if sign == "-" else value
 
 
 def _finite_float(value, token: str) -> float:

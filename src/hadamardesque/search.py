@@ -73,9 +73,6 @@ class SearchReport:
     limit_fired: str | None
     normalized: bool
 
-    def dense_solution(self, which: int) -> DenseMatrix:
-        return column_set_matrix(self.m, self.solutions[which])
-
     def to_record(self) -> dict:
         return {
             "m": self.m,

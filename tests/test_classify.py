@@ -129,7 +129,7 @@ def test_factor_refusals_match_the_square_oracle(rows, message):
 
 def test_float_column_with_a_zero_lead_is_flipped():
     # Only a tolerance >= 1 lets a 0.0 modulus pass; its sign counts as negative.
-    factored = factor_columns(DenseMatrix.from_rows(((0.0,), (1.0,)), exact=False), tol=1)
+    factored = factor_columns(DenseMatrix(((0.0,), (1.0,)), is_exact=False), tol=1)
     assert factored.flipped_columns == (1,)
     assert [(c.q, c.index) for c in factored.matrix.columns] == [(Fraction(1, 4), 2)]
 
@@ -142,7 +142,7 @@ def test_factor_rejects_tol_on_exact_input():
 def test_factor_float_matrix():
     scale = 1.5
     rows = tuple(tuple(scale * e for e in row) for row in goldens.H4)
-    factored = factor_columns(DenseMatrix.from_rows(rows, exact=False))
+    factored = factor_columns(DenseMatrix(rows, is_exact=False))
     assert all(c.q == Fraction(1.5) ** 2 for c in factored.matrix.columns)
     assert [c.index for c in factored.matrix.columns] == [
         c.index for c in factor_columns(DenseMatrix(goldens.H4)).matrix.columns
@@ -151,12 +151,17 @@ def test_factor_float_matrix():
 
 def test_factor_float_tolerance():
     noisy = ((1.0, 1.0 + 1e-12), (1.0, -1.0))
-    factored = factor_columns(DenseMatrix.from_rows(noisy, exact=False))
+    factored = factor_columns(DenseMatrix(noisy, is_exact=False))
     assert len(factored.matrix.columns) == 2
     with pytest.raises(ShapeError, match="column 2"):
-        factor_columns(
-            DenseMatrix.from_rows(((1.0, 1.0), (1.0, -1.001)), exact=False)
-        )
+        factor_columns(DenseMatrix(((1.0, 1.0), (1.0, -1.001)), is_exact=False))
+
+
+def test_factor_float_columns_near_the_float_maximum():
+    # Each column's float modulus sum overflows, so each mean is taken exactly.
+    rows = ((1e308, 1.5e308), (-1e308, 1.5e308))
+    factored = factor_columns(DenseMatrix(rows, is_exact=False))
+    assert [c.q for c in factored.matrix.columns] == [Fraction(1e308) ** 2, Fraction(1.5e308) ** 2]
 
 
 def test_weighted_column_validation():
@@ -297,15 +302,11 @@ def test_in_free_span_unit_vector_violations():
 def test_in_free_span_accepts_representation_vector():
     rep = RepresentationVector(4, goldens.REMARK_CRV)
     assert in_free_span(rep).in_span
-    with pytest.raises(ValueError):
-        in_free_span(rep, m=3)
 
 
 def test_in_free_span_length_checks():
     with pytest.raises(ValueError):
         in_free_span([1, 2, 3])
-    with pytest.raises(ValueError):
-        in_free_span([1, 0, 0, 0], m=4)
 
 
 def test_same_pairwise_dots():

@@ -2,6 +2,9 @@ import ast
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import goldens
 from limits import run_cli_limited
+import hadamardesque
 from hadamardesque import parse_matrix, parse_scalar, to_hadamardesque, pairwise_dots
 from hadamardesque.cli import main
 
@@ -128,6 +132,23 @@ def test_classify_sylvester_orders(capsys, tmp_path, k):
     assert record["hadamard"] and record["sign_matrix_in_span"] and record["lattice_point_in_span"]
 
 
+def test_classify_of_a_square_matrix_that_does_not_factor(capsys, tmp_path):
+    path = tmp_path / "unequal.txt"
+    path.write_text("2 2\n1 1\n2 -1\n")
+    code, out, err = run(capsys, "classify", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "order": 2,
+        "hadamard": False,
+        "sign_matrix_in_span": False,
+        "lattice_point_in_span": False,
+        "verdicts_agree": True,
+        "representation": None,
+        "flipped_columns": [],
+        "violations": [],
+    }
+
+
 def test_classify_non_square_is_argument_error(capsys, tmp_path):
     path = tmp_path / "t3.txt"
     path.write_text(TRUTH_3)
@@ -142,6 +163,14 @@ def test_in_span_plain_file(capsys, tmp_path):
     code, out, _ = run(capsys, "in-span", str(path))
     assert code == 0
     assert out == "true\n"
+
+
+def test_in_span_of_a_length_that_is_not_a_power_of_two(capsys, tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text("1 0 1\n")
+    code, out, err = run(capsys, "in-span", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: length 3 is not a power of two\n"
 
 
 def test_in_span_json_record_with_violations(capsys, tmp_path):
@@ -369,6 +398,18 @@ def test_construct_of_a_tall_matrix_is_a_resource_limit(capsys):
     assert err.startswith("resource limit:")
 
 
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(hadamardesque.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "hadamardesque", "gen-hadamard", "1"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "2 2\n1 1\n1 -1\n", "")
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
@@ -393,6 +434,16 @@ def test_non_finite_float_is_an_input_error(capsys, tmp_path, command, token):
     code, out, err = run(capsys, command, str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error:") and repr(token) in err
+
+
+def test_crv_of_entries_near_the_float_maximum(capsys, tmp_path):
+    # The float sum of the moduli overflows; the mean is then taken exactly.
+    path = tmp_path / "big.txt"
+    path.write_text("2 1\n1e308\n-1e308\n")
+    code, out, err = run(capsys, "crv", str(path))
+    q = Fraction(1e308) ** 2
+    assert len(str(q)) == 617
+    assert (code, out, err) == (0, f"0 {q}\n", "")
 
 
 def test_gen_hadamard_of_a_huge_order_is_a_resource_limit(capsys):
@@ -519,7 +570,8 @@ def test_cli_builds_fractions_in_one_helper():
 TOKENS = st.sampled_from(
     ["1", "-1", "0", "3/4", "-2/6", "sqrt(2)", "-sqrt(1/2)", "sqrt(9/4)", "0.5", "-1.0",
      "x", "", "sqrt()", "sqrt(-2)", "--3", "1/", "2e3", "1/0", "sqrt(1/0)", "-0/0",
-     "inf", "-inf", "nan", "1e400", "1" + "0" * 400, "9" * 5000, "sqrt(" + "7" * 400 + ")"]
+     "inf", "-inf", "nan", "1e400", "1.7976931348623157e308", "1" + "0" * 400, "9" * 5000,
+     "sqrt(" + "7" * 400 + ")"]
 )
 JSON_VALUES = st.sampled_from(
     ['"1"', '"3/4"', '"sqrt(2)"', '"1/0"', '"x"', '" 1"', '"0.5"', "1", "0", "-1",

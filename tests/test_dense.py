@@ -33,13 +33,14 @@ def test_auto_mode_switches_to_float():
 
 
 def test_float_roundtrip():
-    matrix = parse_matrix("2 2\n0.5 -1.25\n3.0 2.0\n", mode="float")
-    assert parse_matrix(format_matrix(matrix), mode="float") == matrix
+    matrix = parse_matrix("2 2\n0.5 -1.25\n3.0 2.0\n")
+    assert not matrix.is_exact
+    assert parse_matrix(format_matrix(matrix)) == matrix
 
 
 def test_exact_mode_rejects_decimals():
     with pytest.raises(FormatError, match=r"line 2.*'1\.5'"):
-        parse_matrix("1 2\n1.5 2\n", mode="exact")
+        parse_matrix("1 2\n1.5 2\n", exact=True)
 
 
 def test_header_errors():
@@ -60,14 +61,14 @@ def test_row_count_and_width_errors():
 
 def test_bad_token_names_line():
     with pytest.raises(FormatError, match="line 2"):
-        parse_matrix("1 2\nfoo 1\n", mode="exact")
+        parse_matrix("1 2\nfoo 1\n", exact=True)
 
 
 def test_from_rows_validation():
     with pytest.raises(ValueError):
         DenseMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(TypeError):
-        DenseMatrix.from_rows([[0.5]], exact=True)
+        DenseMatrix.from_rows([[0.5]])
     matrix = DenseMatrix.from_rows([[SqrtRational.sqrt(4)]])
     assert matrix.entries == ((2,),)  # rational-valued roots collapse
 
@@ -99,13 +100,13 @@ def _counting(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("mode", ["auto", "exact", "float"])
-def test_parse_work_is_one_call_per_distinct_token(monkeypatch, mode):
+@pytest.mark.parametrize("exact", [False, True], ids=["auto", "exact"])
+def test_parse_work_is_one_call_per_distinct_token(monkeypatch, exact):
     rows = [["3/4", "-3/4", "sqrt(2)", "3/4"], ["-3/4", "3/4", "-sqrt(2)", "6/8"],
             ["sqrt(2)", "sqrt(2)", "-sqrt(2)", "-3/4"]]
     text = "3 4\n" + "".join(" ".join(row) + "\n" for row in rows)
     calls = _counting(monkeypatch, "parse_scalar")
-    matrix = parse_matrix(text, mode=mode)
+    matrix = parse_matrix(text, exact=exact)
     distinct = list(dict.fromkeys(tok for row in rows for tok in row))
     assert calls == distinct  # 12 entries, 5 distinct tokens, first-occurrence order
     assert matrix.entries[0][0] is matrix.entries[1][1] is matrix.entries[0][3]

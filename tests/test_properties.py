@@ -223,7 +223,7 @@ def test_in_free_span_residuals_are_pair_row_sums(m, data):
         residual = sum(s * v for s, v in zip(row, values))
         if residual != 0:
             expected.append((L, residual))
-    check = in_free_span(values, m)
+    check = in_free_span(values)
     assert check.violations == tuple(expected)
     assert check.in_span == (not expected)
 

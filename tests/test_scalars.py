@@ -75,6 +75,7 @@ def test_format_tokens():
     assert format_scalar(Fraction(3, 2)) == "3/2"
     assert format_scalar(Fraction(-7)) == "-7"
     assert format_scalar(5) == "5"
+    assert (format_scalar(True), format_scalar(False)) == ("1", "0")
     assert format_scalar(SqrtRational(0)) == "0"
 
 
@@ -92,26 +93,20 @@ def test_parse_sqrt_collapses():
 @pytest.mark.parametrize("token", ["1.5", "x", "sqrt()", "sqrt(-2)", "1/0", "--3", "2e3"])
 def test_parse_rejects_malformed_exact_tokens(token):
     with pytest.raises(FormatError):
-        parse_scalar(token, mode="exact")
+        parse_scalar(token)
 
 
-@pytest.mark.parametrize("mode", ["exact", "float", "auto"])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "auto"])
 @pytest.mark.parametrize(
     "token",
     ["9" * 5000, "-1/" + "3" * 4400, "sqrt(" + "2" * 4400 + ")"],
     ids=["integer", "denominator", "radicand"],
 )
-def test_parse_refuses_integers_past_the_digit_limit(token, mode):
+def test_parse_refuses_integers_past_the_digit_limit(token, exact):
     with pytest.raises(FormatError, match=r"token '.{1,20}'\.\.\. with \d{4} digits"):
-        parse_scalar(token, mode=mode)
-
-
-def test_parse_float_mode():
-    assert parse_scalar("1.5", mode="float") == 1.5
-    assert parse_scalar("sqrt(2)", mode="float") == pytest.approx(2 ** 0.5)
-    assert parse_scalar("3/4", mode="float") == 0.75
+        parse_scalar(token, exact=exact)
 
 
 def test_parse_auto_prefers_exact():
-    assert parse_scalar("3/4", mode="auto") == Fraction(3, 4)
-    assert parse_scalar("0.25", mode="auto") == 0.25
+    assert parse_scalar("3/4", exact=False) == Fraction(3, 4)
+    assert parse_scalar("0.25", exact=False) == 0.25

@@ -256,7 +256,7 @@ def test_engine_range_checks():
 
 def test_dense_solution_and_record():
     report = find_hadamard_column_sets(4)
-    assert is_hadamard(report.dense_solution(0))
+    assert is_hadamard(column_set_matrix(report.m, report.solutions[0]))
     record = json.loads(json.dumps(report.to_record()))
     assert record["solutions"] == [[1, 4, 6, 7], [2, 3, 5, 8]]
     assert record["exhaustive"] is True
