@@ -14,8 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from math import inf, lcm
-from operator import getitem
+from operator import getitem, mul
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +30,6 @@ from .walsh import (
     _pair_sums,
     _rational_numerators,
     _sign_block,
-    column_from_signs,
     pair_count,
     pair_rows,
 )
@@ -59,29 +61,77 @@ class WeightedColumn:
         return SqrtRational.sqrt(self.q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class HadamardesqueMatrix:
-    """An ordered multiset of weighted truth-table columns on m rows."""
+    """An ordered multiset of weighted truth-table columns on m rows.
+
+    Consumers read it as three parallel tuples of Python ints: each
+    column's truth column index, its weight numerator over one common
+    denominator (the lcm of the weights' reduced denominators, so equal
+    matrices hold equal tuples), and its multiplicity.  `columns` is the
+    same matrix as WeightedColumns, in the same order.  Each form is
+    derived from the other on first use: a factored matrix starts from the
+    tuples, one built by HadamardesqueMatrix(m, columns) from its columns.
+    """
 
     m: int
-    columns: tuple[WeightedColumn, ...]
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"row count must be >= 1, got {self.m}")
-        if not self.columns:
+    def __init__(self, m: int, columns: Sequence[WeightedColumn]):
+        if m < 1:
+            raise ValueError(f"row count must be >= 1, got {m}")
+        if not columns:
             raise ValueError("a matrix needs at least one column")
         # Bit length, not 1 << (m - 1): a huge m must not build a huge int.
-        top = max(col.index for col in self.columns)
-        if (top - 1).bit_length() >= self.m:
-            raise ValueError(
-                f"column index {top} out of range [1, 2^{self.m - 1}] for m={self.m}"
-            )
+        top = max(col.index for col in columns)
+        if (top - 1).bit_length() >= m:
+            raise ValueError(f"column index {top} out of range [1, 2^{m - 1}] for m={m}")
+        object.__setattr__(self, "m", m)
+        self.__dict__["columns"] = tuple(columns)
+
+    @classmethod
+    def _of_weights(cls, m: int, indices, numerators, den: int) -> HadamardesqueMatrix:
+        """Columns of multiplicity 1 on truth columns `indices`, with weights numerators / den.
+
+        den must be the lcm of the weights' reduced denominators.
+        """
+        self = cls.__new__(cls)
+        object.__setattr__(self, "m", m)
+        indices = tuple(indices)
+        self.__dict__["_weights"] = (indices, tuple(numerators), (1,) * len(indices), den)
+        return self
+
+    @cached_property
+    def _weights(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
+        """Indices, weight numerators, multiplicities and the common denominator."""
+        columns = self.columns
+        den = lcm(*{col.q.denominator for col in columns})
+        return (tuple([col.index for col in columns]),
+                tuple([col.q.numerator * (den // col.q.denominator) for col in columns]),
+                tuple([col.multiplicity for col in columns]),
+                den)
+
+    @cached_property
+    def columns(self) -> tuple[WeightedColumn, ...]:
+        """The columns as WeightedColumns, in order."""
+        indices, numerators, multiplicities, den = self._weights
+        return tuple(WeightedColumn(Fraction(x, den), j, k)
+                     for j, x, k in zip(indices, numerators, multiplicities))
+
+    def __eq__(self, other):
+        if not isinstance(other, HadamardesqueMatrix):
+            return NotImplemented
+        return self.m == other.m and self._weights == other._weights
+
+    def __hash__(self):
+        return hash((self.m, self._weights))
+
+    def __repr__(self) -> str:
+        return f"HadamardesqueMatrix(m={self.m!r}, columns={self.columns!r})"
 
     @property
     def n(self) -> int:
         """Total column count, multiplicities included."""
-        return sum(c.multiplicity for c in self.columns)
+        return sum(self._weights[2])
 
     def dense(self) -> DenseMatrix:
         """Expand to a dense exact matrix; entries are +-sqrt(q).
@@ -89,11 +139,14 @@ class HadamardesqueMatrix:
         Refused past OUTPUT_ENTRY_BUDGET entries (m * n, multiplicities included).
         """
         _check_entries(f"dense {self.m} x {self.n} matrix", self.m * self.n, 0)
-        # Each column's two entries are built once and picked by sign; both are canonical.
-        scales = [col.scale for col in self.columns]
-        times = [col.multiplicity for col in self.columns]
-        picks = [(s, -s) for s, k in zip(scales, times) for _ in range(k)]
-        signs = _sign_block(self.m, [col.index for col in self.columns])
+        # One square root per distinct weight; a column picks its entry by sign.
+        indices, numerators, times, den = self._weights
+        pair = {}
+        for x in set(numerators):
+            scale = SqrtRational.sqrt(Fraction(x, den))
+            pair[x] = (scale, -scale)
+        picks = [pair[x] for x, k in zip(numerators, times) for _ in range(k)]
+        signs = _sign_block(self.m, indices)
         negative = np.repeat(signs < 0, times, axis=1).tolist()
         return DenseMatrix(tuple(tuple(map(getitem, picks, row)) for row in negative))
 
@@ -162,75 +215,121 @@ class Factorization:
 # Factoring dense matrices
 
 
-def _lead(lead) -> tuple:
-    """An exact leading entry's negation, square and sign, and a memo of the
-    sign of each entry object compared with it, keyed by id."""
-    if isinstance(lead, SqrtRational):
-        return -lead, lead.square, lead.sign, {id(lead): 1}
-    return -lead, lead * lead, (lead > 0) - (lead < 0), {id(lead): 1}
-
-
 def factor_columns(matrix: DenseMatrix, tol: float | None = None) -> Factorization:
-    """Factor each column as sqrt(q) times a truth column, in one pass per column.
+    """Factor each column as sqrt(q) times a truth column, the whole matrix at once.
 
-    Every entry is compared with the column's leading entry: an exact entry
-    must equal it (sign +1) or its negation (sign -1), with q its square; a
-    float entry's modulus must lie within the relative tolerance of the
-    largest, with q the squared mean modulus.  Columns whose leading entry
-    is not positive are normalised by a global sign flip (their pairwise
-    products are unchanged); the flipped input positions are reported.
+    An exact column factors when every entry has the square of its leading
+    entry; q is that square, and an entry's sign relative to the lead gives
+    its truth-column sign.  A float column factors when every modulus lies
+    within the relative tolerance of the largest; q is the square of the
+    mean modulus, its float sum taken left to right down the column (and
+    exactly where that sum overflows).  Columns whose leading entry is not
+    positive are normalised by a global sign flip (their pairwise products
+    are unchanged); the flipped input positions are reported.
 
-    Exact work is done once per distinct value object, not per entry: a
-    leading entry's negation, square and sign once per call, and each
-    entry's comparison with a leading entry once, remembered by identity
-    (a parsed file shares one object per distinct token).  A first sight
-    compares by value, so equal entries that are distinct objects factor
-    too.  Raises ShapeError for a zero column or a column whose entries do not
-    share one modulus, and ValueError for a tolerance that is negative or
-    not finite.
+    The work is array work over the whole matrix.  In an exact matrix each
+    distinct entry object's square and sign are computed once, and entries
+    are grouped by the value of their square, so equal values held in
+    separate objects factor too.  The modulus test, the relative signs and
+    the column indices then run as numpy passes, and the weights come out
+    as integer numerators over the lcm of the distinct weights'
+    denominators; no WeightedColumn is built.  Raises ShapeError, naming
+    the first bad column, for a zero column or a column whose entries do
+    not share one modulus, and ValueError for a tolerance that is negative
+    or not finite.
     """
     if tol is not None and not 0 <= tol < inf:  # also rejects NaN
         raise ValueError(f"modulus tolerance must be finite and >= 0, got {tol!r}")
-    exact = matrix.is_exact
-    if exact and tol:
+    if matrix.is_exact and tol:
         raise ValueError("exact matrices require tol=0")
     tol = DEFAULT_FLOAT_TOL if tol is None else tol
-    columns = []
-    flipped = []
-    leads: dict[int, tuple] = {}  # id(exact leading entry) -> _lead(entry)
-    squares: dict[float, Fraction] = {}  # float mean modulus -> its exact square
-    for j, col in enumerate(zip(*matrix.entries), start=1):
-        lead = col[0]
-        if exact:
-            neg, q, sign, seen = leads.get(id(lead)) or leads.setdefault(id(lead), _lead(lead))
-            signs = list(map(seen.get, map(id, col)))
-            if None in signs:  # an entry object new to this lead: compare by value, once
-                signs = [
-                    seen[id(e)] if id(e) in seen
-                    else seen.setdefault(id(e), 1 if e == lead else -1 if e == neg else 0)
-                    for e in col
-                ]
-            spread = 0 in signs
-            zero, up = not (spread or sign), sign > 0
+    m = matrix.rows
+    if matrix.is_exact:
+        square, sign, weights = _exact_squares(matrix)
+        spread = (square != square[0]).any(axis=0)
+        zero = ~spread & (sign[0] == 0)
+        positive = sign > 0
+        code = square[0]
+    else:
+        values = np.array(matrix.entries, dtype=np.float64)
+        moduli = np.abs(values)
+        top = moduli.max(axis=0)
+        zero = top == 0.0
+        with np.errstate(over="ignore"):
+            spread = top - moduli.min(axis=0) > tol * top
+        positive = values > 0
+        code, weights = _float_weights(moduli)
+    bad = zero | spread
+    if bad.any():
+        j = int(bad.argmax())
+        if zero[j]:
+            raise ShapeError(f"column {j + 1} is zero")
+        raise ShapeError(f"column {j + 1}: entries do not share a common modulus")
+    den = lcm(*{q for _, q in weights})
+    numerators = [p * (den // q) for p, q in weights]
+    factored = HadamardesqueMatrix._of_weights(
+        m, _column_indices(positive[1:] != positive[0]),
+        map(numerators.__getitem__, code.tolist()), den)
+    return Factorization(factored, tuple((np.flatnonzero(~positive[0]) + 1).tolist()))
+
+
+def _exact_squares(matrix: DenseMatrix) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+    """Square group and sign of every entry, and each group's square in lowest terms.
+
+    Entry objects are told apart by identity, and each distinct object's
+    square and sign are computed once, from integers: a rational p/q in
+    lowest terms squares to p^2/q^2, also in lowest terms.  Squares are
+    grouped by value.
+    """
+    m, n = matrix.shape
+    ids = np.fromiter(map(id, chain.from_iterable(matrix.entries)), np.uintp, m * n)
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    groups: dict[tuple[int, int], int] = {}  # square (p, q) -> group number, first seen first
+    group, sign = [], []
+    for pos in first.tolist():
+        entry = matrix.entries[pos // n][pos % n]
+        if isinstance(entry, SqrtRational):
+            square, s = entry.square.as_integer_ratio(), entry.sign
         else:
-            moduli = list(map(abs, col))
-            top = max(moduli)
-            zero, spread = top == 0.0, top - min(moduli) > tol * top
-            up = lead > 0
-            signs = [1 if (e > 0) == up else -1 for e in col]
-            mean = sum(moduli) / len(moduli)
-            if mean == inf:  # the float sum overflowed: average the moduli exactly
-                q = (sum(map(Fraction, moduli)) / len(moduli)) ** 2
-            else:
-                q = squares.get(mean) or squares.setdefault(mean, Fraction(mean) ** 2)
-        if zero:
-            raise ShapeError(f"column {j} is zero")
-        if spread:
-            raise ShapeError(f"column {j}: entries do not share a common modulus")
-        if not up:
-            flipped.append(j)
-        columns.append(WeightedColumn(q=q, index=column_from_signs(signs)))
-    return Factorization(HadamardesqueMatrix(matrix.rows, tuple(columns)), tuple(flipped))
+            p, q = entry.as_integer_ratio()
+            square, s = (p * p, q * q), (p > 0) - (p < 0)
+        group.append(groups.setdefault(square, len(groups)))
+        sign.append(s)
+    inverse = inverse.reshape(m, n)
+    return np.array(group)[inverse], np.array(sign, np.int8)[inverse], list(groups)
+
+
+def _float_weights(moduli: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Each column's weight number, and the distinct weights in lowest terms.
+
+    A weight is the exact square of the column's mean modulus.  The moduli
+    are summed in float, one row at a time: the left-to-right order of a
+    plain loop (Python 3.12's sum() compensates, numpy's sum pairs).
+    """
+    total = moduli[0].copy()
+    with np.errstate(over="ignore"):
+        for row in moduli[1:]:
+            total += row
+    means = total / len(moduli)
+    distinct, code = np.unique(means, return_inverse=True)
+    # np.unique sorts inf last, so leaving it out keeps every finite code.
+    ratios = [x.as_integer_ratio() for x in distinct.tolist() if x != inf]
+    weights = [(p * p, q * q) for p, q in ratios]
+    for j in np.flatnonzero(means == inf).tolist():  # the sum overflowed: average exactly
+        code[j] = len(weights)
+        mean = sum(map(Fraction, moduli[:, j].tolist())) / len(moduli)
+        weights.append((mean.numerator ** 2, mean.denominator ** 2))
+    return code, weights
+
+
+def _column_indices(bits: np.ndarray) -> list[int]:
+    """1-based truth column index of each column of sign bits (bit k: row k + 2 negative)."""
+    if len(bits) <= 62:
+        return ((1 << np.arange(len(bits), dtype=np.int64)) @ bits + 1).tolist()
+    width = (len(bits) + 7) // 8
+    packed = np.packbits(bits, axis=0, bitorder="little").T.tobytes()
+    return [int.from_bytes(packed[k:k + width], "little") + 1
+            for k in range(0, len(packed), width)]
 
 
 def to_hadamardesque(matrix: DenseMatrix) -> HadamardesqueMatrix:
@@ -242,11 +341,12 @@ def to_hadamardesque(matrix: DenseMatrix) -> HadamardesqueMatrix:
 # Representation vectors and dot products
 
 
-def _column_weights(matrix: HadamardesqueMatrix) -> tuple[list[int], list[int], int]:
-    """Truth column index and weight numerator of every column, over one common denominator."""
-    den = lcm(*{col.q.denominator for col in matrix.columns})
-    numerators = [c.q.numerator * (den // c.q.denominator) * c.multiplicity for c in matrix.columns]
-    return [col.index for col in matrix.columns], numerators, den
+def _column_weights(matrix: HadamardesqueMatrix) -> tuple[Sequence[int], Sequence[int], int]:
+    """Truth column index and total weight numerator of every column, over one denominator."""
+    indices, numerators, multiplicities, den = matrix._weights
+    if multiplicities.count(1) < len(multiplicities):
+        numerators = list(map(mul, numerators, multiplicities))
+    return indices, numerators, den
 
 
 def column_representation(matrix: HadamardesqueMatrix) -> RepresentationVector:

@@ -88,9 +88,17 @@ class DenseMatrix:
 
 
 def format_matrix(matrix: DenseMatrix) -> str:
-    lines = [f"{matrix.rows} {matrix.cols}"]
+    """The shared text format, formatting each distinct entry object once.
+
+    Tokens are remembered by identity, not by value: 1 and 1.0 are equal
+    but print as different tokens.
+    """
+    objects: dict[int, object] = {}
     for row in matrix.entries:
-        lines.append(" ".join(format_scalar(e) for e in row))
+        objects.update(zip(map(id, row), row))
+    token = {key: format_scalar(entry) for key, entry in objects.items()}.__getitem__
+    lines = [f"{matrix.rows} {matrix.cols}"]
+    lines.extend(" ".join(map(token, map(id, row))) for row in matrix.entries)
     return "\n".join(lines) + "\n"
 
 

@@ -188,3 +188,39 @@ def factor_by_squares(entries):
             flipped.append(pos)
         pairs.append((squares[0], truth_columns.index(signs) + 1))
     return tuple(pairs), tuple(flipped)
+
+
+def factor_by_lead(entries):
+    """Factor exact dense columns literally, one column and one entry at a time.
+
+    Each entry is compared by value with its column's leading entry: equal
+    gives sign +1, equal to the lead's negation -1, and anything else means
+    the moduli differ.  A column that passes with a zero lead is zero.
+    Signs taken against the lead are those of the column flipped to a
+    positive lead, and the index is built from them bit by bit: row k
+    (k >= 2) negative adds 2^(k-2).  Returns the
+    (q, index) pairs and the flipped positions; raises ValueError, with
+    factor_columns' message, for the first bad column.
+    """
+    pairs, flipped = [], []
+    for pos, col in enumerate(zip(*entries), start=1):
+        lead = col[0]
+        signs = []
+        for entry in col:
+            if entry == lead:
+                signs.append(1)
+            elif entry == -lead:
+                signs.append(-1)
+            else:
+                raise ValueError(f"column {pos}: entries do not share a common modulus")
+        square, sign = _square_and_sign(lead)
+        if sign == 0:
+            raise ValueError(f"column {pos} is zero")
+        if sign < 0:
+            flipped.append(pos)
+        index = 1
+        for bit, s in enumerate(signs[1:]):
+            if s == -1:
+                index += 2**bit
+        pairs.append((Fraction(square), index))
+    return tuple(pairs), tuple(flipped)

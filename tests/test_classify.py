@@ -6,7 +6,7 @@ import pytest
 
 import goldens
 from limits import GIB, run_limited
-from oracles import column_product_sums, factor_by_squares, row_dots
+from oracles import column_product_sums, factor_by_lead, factor_by_squares, row_dots
 from hadamardesque import (
     OUTPUT_ENTRY_BUDGET,
     DenseMatrix,
@@ -162,6 +162,70 @@ def test_factor_float_columns_near_the_float_maximum():
     rows = ((1e308, 1.5e308), (-1e308, 1.5e308))
     factored = factor_columns(DenseMatrix(rows, is_exact=False))
     assert [c.q for c in factored.matrix.columns] == [Fraction(1e308) ** 2, Fraction(1.5e308) ** 2]
+
+
+@pytest.mark.parametrize("columns,message", [
+    ([(1, 1), (0, 0), (1, 2)], "column 2 is zero"),
+    ([(1, 1), (1, 2), (0, 0)], "column 2: entries do not share a common modulus"),
+    ([(0, 1), (0, 0)], "column 1: entries do not share a common modulus"),
+], ids=["zero-first", "spread-first", "zero-lead"])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_factor_names_the_first_bad_column(columns, message, exact):
+    rows = tuple(zip(*columns))
+    with pytest.raises(ValueError) as expected:
+        factor_by_lead(rows)
+    assert str(expected.value) == message
+    if not exact:
+        rows = tuple(tuple(map(float, row)) for row in rows)
+    with pytest.raises(ShapeError) as raised:
+        factor_columns(DenseMatrix(rows, is_exact=exact))
+    assert str(raised.value) == message
+
+
+def _squared_sequential_mean(column) -> Fraction:
+    """The float mean modulus as a left-to-right float sum gives it, squared exactly."""
+    total = 0.0
+    for x in column:
+        total += abs(x)
+    mean = total / len(column)
+    if mean == float("inf"):  # the float sum overflowed: average exactly
+        mean = sum(Fraction(abs(x)) for x in column) / len(column)
+    return Fraction(mean) ** 2
+
+
+def test_float_weights_are_squares_of_the_sequential_mean():
+    # numpy's own column sums round differently from a left-to-right sum in
+    # some shapes (an 8 x 1 matrix among them); q must not change with them.
+    rng = random.Random(30)
+    shapes = [(8, 1), (16, 1), (9, 3)]
+    shapes += [(rng.randint(1, 24), rng.randint(1, 12)) for _ in range(30)]
+    for m, n in shapes:
+        columns = []
+        for _ in range(n):
+            x = rng.uniform(0.1, 10)
+            columns.append([rng.choice((1, -1)) * x * (1 + rng.uniform(-1e-11, 1e-11))
+                            for _ in range(m)])
+        factored = factor_columns(DenseMatrix(tuple(zip(*columns)), is_exact=False))
+        expected = list(map(_squared_sequential_mean, columns))
+        assert [c.q for c in factored.matrix.columns] == expected
+
+
+def test_float_overflow_columns_among_finite_ones():
+    # Overflowing columns (two with one exact weight) interleaved with finite ones.
+    columns = [(1.7e308, -1.7e308, 1.7e308), (3.0, 3.0, -3.0), (1.7e308, 1.7e308, -1.7e308),
+               (0.1, 0.1, 0.1), (1e308, 1.5e308, 1.2e308)]
+    factored = factor_columns(DenseMatrix(tuple(zip(*columns)), is_exact=False), tol=0.5)
+    assert [c.q for c in factored.matrix.columns] == list(map(_squared_sequential_mean, columns))
+    assert factored.flipped_columns == ()
+
+
+def test_factored_matrix_equals_the_one_built_from_its_columns():
+    factored = factor_columns(example_matrix()).matrix
+    rebuilt = HadamardesqueMatrix(factored.m, factored.columns)
+    assert rebuilt == factored and hash(rebuilt) == hash(factored)
+    assert rebuilt.columns == factored.columns and rebuilt.n == factored.n
+    assert repr(factored) == f"HadamardesqueMatrix(m={factored.m}, columns={factored.columns!r})"
+    assert rebuilt.dense() == factored.dense()
 
 
 def test_weighted_column_validation():

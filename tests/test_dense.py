@@ -135,3 +135,17 @@ def test_repeated_unconvertible_token_names_the_line_of_its_first_occurrence():
     text = f"4 2\n1 1\n1 {huge}\n{huge} 0.5\n{huge} 1\n"
     with pytest.raises(FormatError, match=r"^line 3: non-finite"):
         parse_matrix(text)
+
+
+def test_format_keeps_equal_entries_of_different_types_apart():
+    # 1 and 1.0 are equal (and hash equal) but print as different tokens.
+    matrix = DenseMatrix(((1, 1.0, -1), (1.0, 1, -1.0)), is_exact=False)
+    assert format_matrix(matrix) == "2 3\n1 1.0 -1\n1.0 1 -1.0\n"
+
+
+def test_format_work_is_one_call_per_distinct_entry_object(monkeypatch):
+    half, root = Fraction(1, 2), SqrtRational.sqrt(2)
+    matrix = DenseMatrix(((half, root, half), (-root, half, root)))
+    calls = _counting(monkeypatch, "format_scalar")
+    assert format_matrix(matrix) == "2 3\n1/2 sqrt(2) 1/2\n-sqrt(2) 1/2 sqrt(2)\n"
+    assert len(calls) == 3  # half, root and one -root object

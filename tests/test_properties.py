@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import factor_by_squares, pair_products_by_rows, truth_by_recursion
+from oracles import factor_by_lead, factor_by_squares, pair_products_by_rows, truth_by_recursion
 from hadamardesque import walsh
 from hadamardesque import (
     ConstructionOptions,
@@ -125,6 +125,66 @@ def test_equal_value_spellings_factor_like_the_square_oracle(m, data):
     factored = factor_columns(parsed, 0.0)
     pairs = tuple((c.q, c.index) for c in factored.matrix.columns)
     assert (pairs, factored.flipped_columns) == expected
+
+
+# (q, fresh spellings): each call returns a new object of the value sqrt(q).
+FRESH = (
+    (Fraction(1, 4), (lambda: Fraction(1, 2), lambda: Fraction(2, 4),
+                      lambda: SqrtRational(Fraction(1, 2)),
+                      lambda: SqrtRational.sqrt(Fraction(1, 4)))),
+    (Fraction(10**6), (lambda: int("1000"), lambda: Fraction(1000),
+                       lambda: SqrtRational(1000), lambda: Fraction(3000, 3))),
+    (Fraction(2), (lambda: SqrtRational.sqrt(2), lambda: SqrtRational.sqrt(Fraction(4, 2)),
+                   lambda: SqrtRational.sqrt(Fraction(6, 3)))),
+    (Fraction(1), (lambda: 1, lambda: Fraction(1), lambda: SqrtRational(1), lambda: int("1"))),
+    (Fraction(3, 4), (lambda: SqrtRational.sqrt(Fraction(3, 4)),
+                      lambda: SqrtRational.sqrt(Fraction(6, 8)))),
+)
+ZEROS = (lambda: 0, lambda: Fraction(0), lambda: SqrtRational(0))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(st.integers(min_value=1, max_value=9), st.integers(min_value=60, max_value=70)),
+       st.data())
+def test_exact_factoring_matches_the_lead_oracle(m, data):
+    # Types mix within a column, equal values sit in separate objects (or, as
+    # in a parsed file, one object per sign), and m > 63 puts indices past
+    # 2^62.  Some columns are zeroed or get one entry of another modulus.
+    columns, drawn = [], []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
+        q, spellings = data.draw(st.sampled_from(FRESH))
+        bits = data.draw(st.lists(st.booleans(), min_size=m - 1, max_size=m - 1))
+        index = 1 + sum(1 << k for k, bit in enumerate(bits) if bit)
+        flip = data.draw(st.sampled_from((1, -1)))
+        shared = data.draw(st.sampled_from(spellings))() if data.draw(st.booleans()) else None
+        column = []
+        for k in range(m):
+            value = shared if shared is not None else data.draw(st.sampled_from(spellings))()
+            negative = (flip < 0) != (k > 0 and (index - 1) >> (k - 1) & 1 == 1)
+            column.append(-value if negative else value)
+        fault = data.draw(st.integers(min_value=0, max_value=11))
+        if fault == 0:
+            column = [data.draw(st.sampled_from(ZEROS))() for _ in range(m)]
+        elif fault == 1:
+            _, others = data.draw(st.sampled_from([f for f in FRESH if f[0] != q]))
+            column[data.draw(st.integers(0, m - 1))] = data.draw(st.sampled_from(others))()
+        elif fault == 2:
+            column[data.draw(st.integers(0, m - 1))] = data.draw(st.sampled_from(ZEROS))()
+        columns.append(column)
+        drawn.append((q, index))
+    matrix = DenseMatrix(tuple(zip(*columns)))
+    try:
+        expected = factor_by_lead(matrix.entries)
+    except ValueError as exc:
+        with pytest.raises(ShapeError) as raised:
+            factor_columns(matrix)
+        assert str(raised.value) == str(exc)
+        return
+    factored = factor_columns(matrix)
+    pairs = tuple((c.q, c.index) for c in factored.matrix.columns)
+    assert (pairs, factored.flipped_columns) == expected
+    assert all(p == d for p, d in zip(pairs, drawn) if p[0] == d[0])
+    assert HadamardesqueMatrix(m, factored.matrix.columns) == factored.matrix
 
 
 @given(hadamardesque_matrices(), st.data())
