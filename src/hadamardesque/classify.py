@@ -55,26 +55,22 @@ class WeightedColumn:
         if self.multiplicity < 1:
             raise ValueError(f"multiplicity must be >= 1, got {self.multiplicity}")
 
-    @property
-    def scale(self):
-        """The positive column scale sqrt(q), exact."""
-        return SqrtRational.sqrt(self.q)
 
-
-@dataclass(frozen=True, eq=False, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class HadamardesqueMatrix:
     """An ordered multiset of weighted truth-table columns on m rows.
 
-    Consumers read it as three parallel tuples of Python ints: each
-    column's truth column index, its weight numerator over one common
-    denominator (the lcm of the weights' reduced denominators, so equal
-    matrices hold equal tuples), and its multiplicity.  `columns` is the
-    same matrix as WeightedColumns, in the same order.  Each form is
-    derived from the other on first use: a factored matrix starts from the
-    tuples, one built by HadamardesqueMatrix(m, columns) from its columns.
+    The matrix is stored as three parallel tuples of Python ints, one entry
+    per column: its truth column index, its weight numerator over one common
+    denominator, and its multiplicity, plus that denominator.  The
+    denominator is the lcm of the weights' reduced denominators, so equal
+    matrices hold equal tuples and `==` and `hash` compare them.
+    `columns` is a view of the same matrix as WeightedColumns, in order,
+    derived on first use.
     """
 
     m: int
+    _weights: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]
 
     def __init__(self, m: int, columns: Sequence[WeightedColumn]):
         if m < 1:
@@ -85,30 +81,24 @@ class HadamardesqueMatrix:
         top = max(col.index for col in columns)
         if (top - 1).bit_length() >= m:
             raise ValueError(f"column index {top} out of range [1, 2^{m - 1}] for m={m}")
-        object.__setattr__(self, "m", m)
-        self.__dict__["columns"] = tuple(columns)
+        numerators, den = _rational_numerators([col.q for col in columns])
+        indices = tuple([col.index for col in columns])
+        multiplicities = tuple([col.multiplicity for col in columns])
+        self.__dict__.update(m=m, _weights=(indices, tuple(numerators), multiplicities, den))
 
     @classmethod
-    def _of_weights(cls, m: int, indices, numerators, den: int) -> HadamardesqueMatrix:
-        """Columns of multiplicity 1 on truth columns `indices`, with weights numerators / den.
+    def _of_weights(cls, m: int, indices, numerators, multiplicities, den: int) -> HadamardesqueMatrix:
+        """The matrix stored as the given integer tuples, unchecked.
 
-        den must be the lcm of the weights' reduced denominators.
+        Column k is truth column indices[k] of weight numerators[k] / den,
+        repeated multiplicities[k] times; numerators and multiplicities must
+        be positive.  den must be the lcm of the weights' reduced
+        denominators, which is what makes equal matrices hold equal tuples.
         """
         self = cls.__new__(cls)
-        object.__setattr__(self, "m", m)
-        indices = tuple(indices)
-        self.__dict__["_weights"] = (indices, tuple(numerators), (1,) * len(indices), den)
+        weights = (tuple(indices), tuple(numerators), tuple(multiplicities), den)
+        self.__dict__.update(m=m, _weights=weights)
         return self
-
-    @cached_property
-    def _weights(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
-        """Indices, weight numerators, multiplicities and the common denominator."""
-        columns = self.columns
-        den = lcm(*{col.q.denominator for col in columns})
-        return (tuple([col.index for col in columns]),
-                tuple([col.q.numerator * (den // col.q.denominator) for col in columns]),
-                tuple([col.multiplicity for col in columns]),
-                den)
 
     @cached_property
     def columns(self) -> tuple[WeightedColumn, ...]:
@@ -116,14 +106,6 @@ class HadamardesqueMatrix:
         indices, numerators, multiplicities, den = self._weights
         return tuple(WeightedColumn(Fraction(x, den), j, k)
                      for j, x, k in zip(indices, numerators, multiplicities))
-
-    def __eq__(self, other):
-        if not isinstance(other, HadamardesqueMatrix):
-            return NotImplemented
-        return self.m == other.m and self._weights == other._weights
-
-    def __hash__(self):
-        return hash((self.m, self._weights))
 
     def __repr__(self) -> str:
         return f"HadamardesqueMatrix(m={self.m!r}, columns={self.columns!r})"
@@ -267,9 +249,9 @@ def factor_columns(matrix: DenseMatrix, tol: float | None = None) -> Factorizati
         raise ShapeError(f"column {j + 1}: entries do not share a common modulus")
     den = lcm(*{q for _, q in weights})
     numerators = [p * (den // q) for p, q in weights]
+    indices = _column_indices(positive[1:] != positive[0])
     factored = HadamardesqueMatrix._of_weights(
-        m, _column_indices(positive[1:] != positive[0]),
-        map(numerators.__getitem__, code.tolist()), den)
+        m, indices, map(numerators.__getitem__, code.tolist()), (1,) * len(indices), den)
     return Factorization(factored, tuple((np.flatnonzero(~positive[0]) + 1).tolist()))
 
 

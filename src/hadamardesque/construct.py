@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .classify import HadamardesqueMatrix, RepresentationVector, WeightedColumn, PairwiseDots
+from .classify import HadamardesqueMatrix, RepresentationVector, PairwiseDots
 from .errors import InfeasibleError
 from .scalars import SqrtRational
 from .walsh import _check_entries, _rational_numerators, fwht, pair_count, pair_to_mask
@@ -123,43 +123,33 @@ def construct_crv(m: int, a: Sequence, options: ConstructionOptions | None = Non
     return RepresentationVector(m, tuple(Fraction(w * scale + offset, out_den) for w in raw))
 
 
+def _support(v: RepresentationVector) -> tuple[list[int], list[int], int]:
+    """Truth column index and numerator of every nonzero weight, over their lcm d."""
+    numerators, d = _rational_numerators(v.values)  # a zero weight's denominator is 1
+    indices = [i for i, x in enumerate(numerators, start=1) if x]
+    if not indices:
+        raise ValueError("all-zero weight vector: a matrix needs at least one column")
+    return indices, [x for x in numerators if x], d
+
+
 def realize_canonical(v: RepresentationVector) -> HadamardesqueMatrix:
     """One column of scale sqrt(v_i) per nonzero weight."""
-    columns = tuple(
-        WeightedColumn(q=value, index=i)
-        for i, value in enumerate(v.values, start=1)
-        if value
-    )
-    if not columns:
-        raise ValueError("all-zero weight vector: a matrix needs at least one column")
-    return HadamardesqueMatrix(v.m, columns)
+    indices, numerators, d = _support(v)
+    return HadamardesqueMatrix._of_weights(v.m, indices, numerators, (1,) * len(indices), d)
 
 
 def realize_uniform_rational(m: int, a: Sequence, options: ConstructionOptions | None = None) -> HadamardesqueMatrix:
     """Realize a rational target with every entry equal to +-1/d.
 
-    Two stages: first each weight p/q (lowest terms) becomes p*q copies of
-    the truth column scaled by 1/q; then with d the lcm of the per-column
-    denominators, each column at scale 1/q is replaced by (d/q)^2 copies at
-    scale 1/d.  Weights, and hence all dot products, are unchanged.
+    With d the lcm of the nonzero weights' denominators, a weight x/d
+    becomes x*d copies of its truth column at scale 1/d: squared scale
+    1/d^2, so the weight, and hence every dot product, is unchanged.
     """
     opts = options or ConstructionOptions(flavor="rational")
     target = _target_fractions(m, a, reason=_UNIFORM_REASON)
-    v = construct_crv(m, target, opts)
-    staged = [
-        (i, value.numerator, value.denominator)
-        for i, value in enumerate(v.values, start=1)
-        if value
-    ]
-    if not staged:
-        raise ValueError("all-zero weight vector: a matrix needs at least one column")
-    d = math.lcm(*(den for _, _, den in staged))
-    q = Fraction(1, d * d)
-    columns = tuple(
-        WeightedColumn(q=q, index=i, multiplicity=num * den * (d // den) ** 2)
-        for i, num, den in staged
-    )
-    return HadamardesqueMatrix(m, columns)
+    indices, numerators, d = _support(construct_crv(m, target, opts))
+    ones = (1,) * len(indices)
+    return HadamardesqueMatrix._of_weights(m, indices, ones, [x * d for x in numerators], d * d)
 
 
 def realize_uniform_irrational(m: int, a: Sequence, options: ConstructionOptions | None = None) -> HadamardesqueMatrix:
@@ -169,13 +159,8 @@ def realize_uniform_irrational(m: int, a: Sequence, options: ConstructionOptions
     squared scale; weights and dot products are unchanged, but the shared
     entry modulus sqrt(1/(2 d^2)) is irrational.
     """
-    base = realize_uniform_rational(m, a, options)
-    q = base.columns[0].q / 2  # every column shares the scale 1/d^2
-    columns = tuple(
-        WeightedColumn(q=q, index=col.index, multiplicity=col.multiplicity * 2)
-        for col in base.columns
-    )
-    return HadamardesqueMatrix(m, columns)
+    indices, ones, multiplicities, den = realize_uniform_rational(m, a, options)._weights
+    return HadamardesqueMatrix._of_weights(m, indices, ones, [2 * k for k in multiplicities], 2 * den)
 
 
 def construct_matrix(m: int, a: Sequence, options: ConstructionOptions | None = None):

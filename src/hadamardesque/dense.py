@@ -15,25 +15,9 @@ float matrix unless the parse is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
 
 from .errors import FormatError
-from .scalars import SqrtRational, _finite_float, format_scalar, parse_scalar
-
-
-def _coerce_exact(entry):
-    if isinstance(entry, bool):
-        raise TypeError("bool is not a matrix entry")
-    if isinstance(entry, int):
-        return entry
-    if isinstance(entry, Fraction):
-        return entry
-    if isinstance(entry, SqrtRational):
-        return entry.as_fraction() if entry.is_rational else entry
-    if isinstance(entry, float):
-        raise TypeError(f"float entry {entry!r} in an exact matrix")
-    raise TypeError(f"unsupported matrix entry {entry!r}")
+from .scalars import _finite_float, format_scalar, parse_scalar
 
 
 @dataclass(frozen=True)
@@ -50,11 +34,6 @@ class DenseMatrix:
         if any(len(row) != width for row in self.entries):
             raise ValueError("all rows must have equal length")
 
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "DenseMatrix":
-        """An exact matrix; rational-valued roots collapse to Fractions."""
-        return DenseMatrix(tuple(tuple(_coerce_exact(e) for e in row) for row in rows))
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -67,24 +46,10 @@ class DenseMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def entry(self, i: int, j: int):
-        """Entry at 1-based row i, column j."""
-        if not (1 <= i <= self.rows and 1 <= j <= self.cols):
-            raise IndexError(f"entry ({i},{j}) out of range for {self.rows}x{self.cols}")
-        return self.entries[i - 1][j - 1]
-
     def row(self, i: int) -> tuple:
         if not 1 <= i <= self.rows:
             raise IndexError(f"row {i} out of range")
         return self.entries[i - 1]
-
-    def column(self, j: int) -> tuple:
-        if not 1 <= j <= self.cols:
-            raise IndexError(f"column {j} out of range")
-        return tuple(row[j - 1] for row in self.entries)
-
-    def to_float(self) -> list[list[float]]:
-        return [[float(e) for e in row] for row in self.entries]
 
 
 def format_matrix(matrix: DenseMatrix) -> str:

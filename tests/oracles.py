@@ -2,14 +2,19 @@
 
 Everything here deliberately avoids the library's bit formulas: Hadamard
 matrices come from the doubling recursion, truth tables from the
-column-doubling recursion, dot products from literal sums of products, and
-the column-set oracle enumerates subsets outright.
+column-doubling recursion, dot products from literal sums of products, the
+column-set oracle enumerates subsets outright, and the realizations build
+their matrices one WeightedColumn at a time.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
+
+from hadamardesque import ConstructionOptions, HadamardesqueMatrix, WeightedColumn, construct_crv
+from hadamardesque.construct import _UNIFORM_REASON, _target_fractions
 
 
 def sylvester_by_doubling(k: int):
@@ -224,3 +229,61 @@ def factor_by_lead(entries):
                 index += 2**bit
         pairs.append((Fraction(square), index))
     return tuple(pairs), tuple(flipped)
+
+
+# ---------------------------------------------------------------------------
+# Matrix realizations column by column, through WeightedColumn and the
+# public HadamardesqueMatrix(m, columns) constructor.
+
+
+def realize_canonical(v):
+    """One column of scale sqrt(v_i) per nonzero weight."""
+    columns = tuple(
+        WeightedColumn(q=value, index=i)
+        for i, value in enumerate(v.values, start=1)
+        if value
+    )
+    if not columns:
+        raise ValueError("all-zero weight vector: a matrix needs at least one column")
+    return HadamardesqueMatrix(v.m, columns)
+
+
+def realize_uniform_rational(m, a, options=None):
+    """Every weight p/q (lowest terms) as p*q*(d/q)^2 columns of scale 1/d, d the lcm of the q."""
+    opts = options or ConstructionOptions(flavor="rational")
+    target = _target_fractions(m, a, reason=_UNIFORM_REASON)
+    v = construct_crv(m, target, opts)
+    staged = [
+        (i, value.numerator, value.denominator)
+        for i, value in enumerate(v.values, start=1)
+        if value
+    ]
+    if not staged:
+        raise ValueError("all-zero weight vector: a matrix needs at least one column")
+    d = math.lcm(*(den for _, _, den in staged))
+    q = Fraction(1, d * d)
+    columns = tuple(
+        WeightedColumn(q=q, index=i, multiplicity=num * den * (d // den) ** 2)
+        for i, num, den in staged
+    )
+    return HadamardesqueMatrix(m, columns)
+
+
+def realize_uniform_irrational(m, a, options=None):
+    """Every column of the uniform rational realization doubled, at half the squared scale."""
+    base = realize_uniform_rational(m, a, options)
+    q = base.columns[0].q / 2  # every column shares the scale 1/d^2
+    columns = tuple(
+        WeightedColumn(q=q, index=col.index, multiplicity=col.multiplicity * 2)
+        for col in base.columns
+    )
+    return HadamardesqueMatrix(m, columns)
+
+
+def construct_by_columns(m, a, options):
+    """construct_matrix's dispatch over the column-by-column realizations."""
+    if options.flavor == "canonical":
+        return realize_canonical(construct_crv(m, a, options))
+    if options.flavor == "rational":
+        return realize_uniform_rational(m, a, options)
+    return realize_uniform_irrational(m, a, options)

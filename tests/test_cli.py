@@ -260,6 +260,52 @@ def test_construct_shift_option(capsys):
     assert record["columns"] == [["6", 1, 1], ["4", 2, 1]]
 
 
+# Mixed target denominators; a zero weight (a dropped column) in the m=4 cases; the
+# uniform flavors carry d > 1 and multiplicities > 1.
+MULTISET_GOLDENS = [
+    ("3", "1/2 1/3 1/4", "canonical", "minimal",
+     '{"m": 3, "columns": [["5/12", 1, 1], ["1/24", 2, 1], ["1/8", 3, 1]]}'),
+    ("3", "1/2 1/3 1/4", "canonical", "minimal-integer",
+     '{"m": 3, "columns": [["61/48", 1, 1], ["43/48", 2, 1], ["47/48", 3, 1], ["41/48", 4, 1]]}'),
+    ("3", "1/2 1/3 1/4", "canonical", "2/3",
+     '{"m": 3, "columns": [["15/16", 1, 1], ["9/16", 2, 1], ["31/48", 3, 1], ["25/48", 4, 1]]}'),
+    ("3", "1/2 1/3 1/4", "rational", "minimal",
+     '{"m": 3, "columns": [["1/576", 1, 240], ["1/576", 2, 24], ["1/576", 3, 72]]}'),
+    ("3", "1/2 1/3 1/4", "rational", "minimal-integer",
+     '{"m": 3, "columns": [["1/2304", 1, 2928], ["1/2304", 2, 2064], ["1/2304", 3, 2256], '
+     '["1/2304", 4, 1968]]}'),
+    ("3", "1/2 1/3 1/4", "rational", "2/3",
+     '{"m": 3, "columns": [["1/2304", 1, 2160], ["1/2304", 2, 1296], ["1/2304", 3, 1488], '
+     '["1/2304", 4, 1200]]}'),
+    ("3", "1/2 1/3 1/4", "irrational", "minimal",
+     '{"m": 3, "columns": [["1/1152", 1, 480], ["1/1152", 2, 48], ["1/1152", 3, 144]]}'),
+    ("3", "1/2 1/3 1/4", "irrational", "minimal-integer",
+     '{"m": 3, "columns": [["1/4608", 1, 5856], ["1/4608", 2, 4128], ["1/4608", 3, 4512], '
+     '["1/4608", 4, 3936]]}'),
+    ("3", "1/2 1/3 1/4", "irrational", "2/3",
+     '{"m": 3, "columns": [["1/4608", 1, 4320], ["1/4608", 2, 2592], ["1/4608", 3, 2976], '
+     '["1/4608", 4, 2400]]}'),
+    ("4", "1/2 -1/3 1/4 0 2/5 -1", "canonical", "minimal",
+     '{"m": 4, "columns": [["23/80", 1, 1], ["67/120", 3, 1], ["19/48", 4, 1], ["7/16", 5, 1], '
+     '["7/20", 6, 1], ["5/24", 7, 1], ["59/240", 8, 1]]}'),
+    ("4", "1/2 -1/3 1/4 0 2/5 -1", "rational", "minimal",
+     '{"m": 4, "columns": [["1/57600", 1, 16560], ["1/57600", 3, 32160], ["1/57600", 4, 22800], '
+     '["1/57600", 5, 25200], ["1/57600", 6, 20160], ["1/57600", 7, 12000], '
+     '["1/57600", 8, 14160]]}'),
+    ("4", "1/2 -1/3 1/4 0 2/5 -1", "irrational", "minimal",
+     '{"m": 4, "columns": [["1/115200", 1, 33120], ["1/115200", 3, 64320], '
+     '["1/115200", 4, 45600], ["1/115200", 5, 50400], ["1/115200", 6, 40320], '
+     '["1/115200", 7, 24000], ["1/115200", 8, 28320]]}'),
+]
+
+
+@pytest.mark.parametrize("m, target, flavor, shift, golden", MULTISET_GOLDENS)
+def test_construct_multiset_goldens(capsys, m, target, flavor, shift, golden):
+    code, out, err = run(capsys, "construct", m, target, "--flavor", flavor, "--shift", shift,
+                         "--multiset")
+    assert (code, out, err) == (0, golden + "\n", "")
+
+
 # --- search ------------------------------------------------------------------------------
 
 

@@ -1,12 +1,19 @@
 """Invariants checked over generated inputs."""
 
 from fractions import Fraction
+from operator import mul
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import factor_by_lead, factor_by_squares, pair_products_by_rows, truth_by_recursion
+from oracles import (
+    construct_by_columns,
+    factor_by_lead,
+    factor_by_squares,
+    pair_products_by_rows,
+    truth_by_recursion,
+)
 from hadamardesque import walsh
 from hadamardesque import (
     ConstructionOptions,
@@ -78,7 +85,7 @@ def test_printed_matrices_factor_like_the_square_oracle(m, floats, data):
             is_exact=False,
         )
     else:
-        dense = DenseMatrix.from_rows(rows)
+        dense = DenseMatrix(tuple(rows))
     parsed = parse_matrix(format_matrix(dense))
     factored = factor_columns(parsed, 0.0)
     pairs = tuple((c.q, c.index) for c in factored.matrix.columns)
@@ -192,7 +199,7 @@ def test_pairwise_products_sign_invariant(matrix, data):
     # Negating a column negates both factors of each of its pairwise products.
     dense = matrix.dense()
     flips = data.draw(st.lists(st.sampled_from((1, -1)), min_size=dense.cols, max_size=dense.cols))
-    flipped = DenseMatrix.from_rows([[f * x for f, x in zip(flips, row)] for row in dense.entries])
+    flipped = DenseMatrix(tuple(tuple(map(mul, flips, row)) for row in dense.entries))
     assert pairwise_dots(to_hadamardesque(flipped)) == pairwise_dots(matrix)
 
 
@@ -271,6 +278,35 @@ def test_construct_matrix_roundtrip_all_flavors(m, flavor, shift, data):
     )
     matrix = construct_matrix(m, target, ConstructionOptions(shift=shift, flavor=flavor))
     assert pairwise_dots(matrix).values == tuple(target)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=9),
+    st.sampled_from(("canonical", "rational", "irrational")),
+    st.sampled_from(("minimal", "minimal-integer", "explicit")),
+    st.data(),
+)
+def test_construct_matrix_matches_the_column_oracle(m, flavor, shift, data):
+    target = data.draw(st.lists(rationals, min_size=pair_count(m), max_size=pair_count(m)))
+    if shift == "explicit":
+        # |raw weight| <= sum|a| / 2^(m-1), so this shift always suffices.
+        floor = sum(abs(a) for a in target) / (1 << (m - 1))
+        shift = floor + data.draw(st.fractions(min_value=0, max_value=3, max_denominator=6))
+    options = ConstructionOptions(shift=shift, flavor=flavor)
+    try:
+        expected = construct_by_columns(m, target, options)
+    except ValueError as exc:  # a zero target under a zero explicit shift has no columns
+        with pytest.raises(ValueError) as raised:
+            construct_matrix(m, target, options)
+        assert str(raised.value) == str(exc)
+        return
+    matrix = construct_matrix(m, target, options)
+    assert matrix == expected
+    assert hash(matrix) == hash(expected)
+    assert (matrix.columns, matrix.n) == (expected.columns, expected.n)
+    if m <= 6 and m * matrix.n <= 1 << 16:  # larger uniform matrices take seconds to format
+        assert format_matrix(matrix.dense()) == format_matrix(expected.dense())
 
 
 @settings(deadline=None)

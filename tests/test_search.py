@@ -237,7 +237,7 @@ def test_verify_column_set():
 
 def test_verify_column_set_order_32():
     h32 = sylvester(5)
-    columns = [column_from_signs(h32.column(j)) for j in range(1, 33)]
+    columns = [column_from_signs(col) for col in zip(*h32.entries)]
     assert verify_column_set(32, columns)
     # No Hadamard matrix has a column negative on every row but the first.
     assert not verify_column_set(32, columns[:-1] + [1 << 31])

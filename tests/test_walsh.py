@@ -197,7 +197,7 @@ def test_first_refused_size_of_each_output(build):
 def test_largest_truth_table_within_budget():
     table = truth_table(18)
     assert table.shape == (18, 1 << 17)
-    assert table.column(1 << 17) == column_signs(18, 1 << 17)
+    assert tuple(row[-1] for row in table.entries) == column_signs(18, 1 << 17)
 
 
 def _raises_resource_limit(node) -> bool:
@@ -318,9 +318,8 @@ def test_product_columns_are_column_products():
     for m in (2, 3, 4, 5):
         table = pair_product_table(m)
         truth = truth_table(m)
-        for j in range(1, table.cols + 1):
-            col = truth.column(j)
-            assert table.column(j) == tuple(col[i] * col[k] for k in range(1, m) for i in range(k))
+        for product, col in zip(zip(*table.entries), zip(*truth.entries), strict=True):
+            assert product == tuple(col[i] * col[k] for k in range(1, m) for i in range(k))
 
 
 @pytest.mark.parametrize("m", range(2, 9))
