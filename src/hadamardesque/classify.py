@@ -15,14 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from math import inf, lcm
-from operator import getitem, mul
+from operator import mul
 from typing import Sequence
 
 import numpy as np
 
-from .dense import DenseMatrix
+from .dense import DenseMatrix, _first_occurrence_codes
 from .errors import ShapeError
 from .scalars import SqrtRational, format_scalar
 from .walsh import (
@@ -121,16 +120,21 @@ class HadamardesqueMatrix:
         Refused past OUTPUT_ENTRY_BUDGET entries (m * n, multiplicities included).
         """
         _check_entries(f"dense {self.m} x {self.n} matrix", self.m * self.n, 0)
-        # One square root per distinct weight; a column picks its entry by sign.
+        # One square root per distinct weight, coded by first column: row 1 is
+        # positive, so every root comes before every negation.
         indices, numerators, times, den = self._weights
-        pair = {}
-        for x in set(numerators):
-            scale = SqrtRational.sqrt(Fraction(x, den))
-            pair[x] = (scale, -scale)
-        picks = [pair[x] for x, k in zip(numerators, times) for _ in range(k)]
-        signs = _sign_block(self.m, indices)
-        negative = np.repeat(signs < 0, times, axis=1).tolist()
-        return DenseMatrix(tuple(tuple(map(getitem, picks, row)) for row in negative))
+        weights, weight_codes = _first_occurrence_codes(numerators)
+        roots = [SqrtRational.sqrt(Fraction(x, den)) for x in weights]
+        column = np.repeat(weight_codes, times)
+        negative = np.repeat(_sign_block(self.m, indices) < 0, times, axis=1)
+        # A negation is coded by its first negative entry in row-major order.
+        first_row = np.where(negative.any(axis=0), negative.argmax(axis=0), self.m)
+        by_row = np.argsort(first_row, kind="stable")
+        negated = list(dict.fromkeys(column[by_row[first_row[by_row] < self.m]].tolist()))
+        negated_code = np.zeros(len(roots), np.intp)
+        negated_code[negated] = np.arange(len(roots), len(roots) + len(negated))
+        codes = np.where(negative, negated_code[column], column)
+        return DenseMatrix._of_codes(tuple(roots) + tuple(-roots[k] for k in negated), codes)
 
 
 @dataclass(frozen=True)
@@ -209,10 +213,11 @@ def factor_columns(matrix: DenseMatrix, tol: float | None = None) -> Factorizati
     positive are normalised by a global sign flip (their pairwise products
     are unchanged); the flipped input positions are reported.
 
-    The work is array work over the whole matrix.  In an exact matrix each
-    distinct entry object's square and sign are computed once, and entries
-    are grouped by the value of their square, so equal values held in
-    separate objects factor too.  The modulus test, the relative signs and
+    The work is array work over the whole matrix.  Each distinct entry is
+    read once, and the matrix's codes spread what was read to the entries:
+    in an exact matrix, its square and sign, with squares grouped by value
+    so that equal values held in separate objects factor too; in a float
+    matrix, its float64 value.  The modulus test, the relative signs and
     the column indices then run as numpy passes, and the weights come out
     as integer numerators over the lcm of the distinct weights'
     denominators; no WeightedColumn is built.  Raises ShapeError, naming
@@ -233,7 +238,7 @@ def factor_columns(matrix: DenseMatrix, tol: float | None = None) -> Factorizati
         positive = sign > 0
         code = square[0]
     else:
-        values = np.array(matrix.entries, dtype=np.float64)
+        values = np.array(matrix._distinct, np.float64)[matrix._codes]
         moduli = np.abs(values)
         top = moduli.max(axis=0)
         zero = top == 0.0
@@ -258,18 +263,14 @@ def factor_columns(matrix: DenseMatrix, tol: float | None = None) -> Factorizati
 def _exact_squares(matrix: DenseMatrix) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
     """Square group and sign of every entry, and each group's square in lowest terms.
 
-    Entry objects are told apart by identity, and each distinct object's
-    square and sign are computed once, from integers: a rational p/q in
-    lowest terms squares to p^2/q^2, also in lowest terms.  Squares are
-    grouped by value.
+    Each distinct entry's square and sign are computed once, from integers:
+    a rational p/q in lowest terms squares to p^2/q^2, also in lowest
+    terms.  Squares are grouped by value, and the matrix's codes spread
+    groups and signs to the entries.
     """
-    m, n = matrix.shape
-    ids = np.fromiter(map(id, chain.from_iterable(matrix.entries)), np.uintp, m * n)
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     groups: dict[tuple[int, int], int] = {}  # square (p, q) -> group number, first seen first
     group, sign = [], []
-    for pos in first.tolist():
-        entry = matrix.entries[pos // n][pos % n]
+    for entry in matrix._distinct:
         if isinstance(entry, SqrtRational):
             square, s = entry.square.as_integer_ratio(), entry.sign
         else:
@@ -277,8 +278,8 @@ def _exact_squares(matrix: DenseMatrix) -> tuple[np.ndarray, np.ndarray, list[tu
             square, s = (p * p, q * q), (p > 0) - (p < 0)
         group.append(groups.setdefault(square, len(groups)))
         sign.append(s)
-    inverse = inverse.reshape(m, n)
-    return np.array(group)[inverse], np.array(sign, np.int8)[inverse], list(groups)
+    codes = matrix._codes
+    return np.array(group)[codes], np.array(sign, np.int8)[codes], list(groups)
 
 
 def _float_weights(moduli: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -406,12 +407,12 @@ def same_pairwise_dots(v: RepresentationVector, w: RepresentationVector) -> Span
 
 
 def _entries_unit(matrix: DenseMatrix) -> bool:
-    return all(e == 1 or e == -1 for row in matrix.entries for e in row)
+    return all(e == 1 or e == -1 for e in matrix._distinct)
 
 
 def _direct_row_dots_zero(matrix: DenseMatrix) -> bool:
     """Rows pairwise orthogonal, by one integer Gram product; entries must be +-1."""
-    signs = np.array([[1 if e == 1 else -1 for e in row] for row in matrix.entries], np.int64)
+    signs = np.array([1 if e == 1 else -1 for e in matrix._distinct], np.int64)[matrix._codes]
     gram = signs @ signs.T
     return not np.any(gram[np.triu_indices(len(gram), 1)])
 

@@ -14,37 +14,91 @@ float matrix unless the parse is exact.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, count
+from typing import Sequence
+
+import numpy as np
 
 from .errors import FormatError
 from .scalars import _finite_float, format_scalar, parse_scalar
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class DenseMatrix:
-    """Immutable row-major matrix; entries exact scalars or floats."""
+    """Immutable row-major matrix; entries exact scalars or floats.
 
-    entries: tuple[tuple, ...]
-    is_exact: bool = True
+    The matrix is stored as its distinct entry objects, each once, and a
+    read-only integer array of shape rows x cols whose codes index them.
+    A file of scaled sign columns holds about two distinct entries per
+    distinct scale, so readers of the matrix work per distinct entry and
+    index the codes.  `entries`, the row tuples, is a view derived on first
+    use; `==` and `hash` compare it and `is_exact`.
+    """
 
-    def __post_init__(self):
-        if not self.entries or not self.entries[0]:
+    _distinct: tuple
+    _codes: np.ndarray
+    is_exact: bool
+
+    def __init__(self, entries, is_exact: bool = True):
+        if not entries or not entries[0]:
             raise ValueError("matrix must have at least one row and one column")
-        width = len(self.entries[0])
-        if any(len(row) != width for row in self.entries):
+        width = len(entries[0])
+        if any(len(row) != width for row in entries):
             raise ValueError("all rows must have equal length")
+        # Entries are told apart by identity: 1 and 1.0 are equal but print apart.
+        flat = list(chain.from_iterable(entries))
+        ids = list(map(id, flat))
+        _, codes = _first_occurrence_codes(ids)
+        distinct = tuple(dict(zip(ids, flat)).values())
+        self._set(distinct, codes.reshape(len(entries), width), is_exact)
+
+    @classmethod
+    def _of_codes(cls, distinct: tuple, codes: np.ndarray, is_exact: bool = True) -> DenseMatrix:
+        """The matrix whose entry (i, j) is distinct[codes[i, j]], unchecked.
+
+        codes is a nonempty 2-d integer array, made read-only here.  Every
+        distinct entry must be used, and codes must follow first occurrence
+        in row-major order, so that a matrix has one coded form.
+        """
+        self = cls.__new__(cls)
+        self._set(distinct, codes, is_exact)
+        return self
+
+    def _set(self, distinct: tuple, codes: np.ndarray, is_exact: bool) -> None:
+        codes.flags.writeable = False
+        self.__dict__.update(_distinct=distinct, _codes=codes, is_exact=is_exact)
+
+    @cached_property
+    def entries(self) -> tuple[tuple, ...]:
+        """The entries as a tuple of row tuples."""
+        entry = self._distinct.__getitem__
+        return tuple(tuple(map(entry, row)) for row in self._codes.tolist())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entries, self.is_exact) == (other.entries, other.is_exact)
+
+    def __hash__(self):
+        return hash((self.entries, self.is_exact))
+
+    def __repr__(self) -> str:
+        return f"DenseMatrix(entries={self.entries!r}, is_exact={self.is_exact!r})"
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return self._codes.shape[0]
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0])
+        return self._codes.shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
+        return self._codes.shape
 
     def row(self, i: int) -> tuple:
         if not 1 <= i <= self.rows:
@@ -52,38 +106,56 @@ class DenseMatrix:
         return self.entries[i - 1]
 
 
-def format_matrix(matrix: DenseMatrix) -> str:
-    """The shared text format, formatting each distinct entry object once.
+def _first_occurrence_codes(keys: Sequence) -> tuple[dict, np.ndarray]:
+    """A code for each distinct key, in order of first occurrence, and every key's code."""
+    code = defaultdict(count().__next__)
+    return code, np.fromiter(map(code.__getitem__, keys), np.intp, len(keys))
 
-    Tokens are remembered by identity, not by value: 1 and 1.0 are equal
-    but print as different tokens.
+
+def _sign_matrix(negative: np.ndarray) -> DenseMatrix:
+    """The matrix of ints 1 and -1 that is -1 where the boolean array is set.
+
+    The leading entry must be 1, as in every table of truth columns.
     """
-    objects: dict[int, object] = {}
-    for row in matrix.entries:
-        objects.update(zip(map(id, row), row))
-    token = {key: format_scalar(entry) for key, entry in objects.items()}.__getitem__
+    if not negative.size:
+        raise ValueError("matrix must have at least one row and one column")
+    return DenseMatrix._of_codes((1, -1) if negative.any() else (1,), negative.view(np.uint8))
+
+
+def format_matrix(matrix: DenseMatrix) -> str:
+    """The shared text format, formatting each distinct entry once.
+
+    Rows are joined from the formatted distinct entries by code.  Distinct
+    entries are distinct objects, not values: 1 and 1.0 are equal but
+    print as different tokens.
+    """
+    token = np.array(list(map(format_scalar, matrix._distinct)), object)
     lines = [f"{matrix.rows} {matrix.cols}"]
-    lines.extend(" ".join(map(token, map(id, row))) for row in matrix.entries)
+    lines.extend(map(" ".join, token[matrix._codes].tolist()))
     return "\n".join(lines) + "\n"
 
 
 def parse_matrix(text: str, *, exact: bool = False) -> DenseMatrix:
-    """Parse the shared text format, each distinct token once.
+    """Parse the shared text format into its distinct values and their codes.
 
     The matrix is exact unless a token is a decimal literal, in which case
     every parsed value is converted to a finite float.  With `exact` set, a
-    decimal literal is an error instead.  The exact work (and the float
-    conversion) runs once per distinct token string, and equal tokens share
-    one immutable value, so a file of scaled sign columns costs about its
-    distinct tokens, not its entries.  Token errors name the line of the
-    first bad token in row-major order.
+    decimal literal is an error instead.  The rows are read into one
+    row-major token list.  Each distinct token gets one code, in order of
+    first occurrence, and one value; the codes are one pass over the list.
+    A token ``-x``, where x has no sign of its own, is the negation of x's
+    exact value (x is parsed if it is not yet known), taken before any
+    float conversion, so ``-0`` in a float matrix is 0.0.  So a file of
+    scaled sign columns costs about one parse per distinct scale, not one
+    per entry.  Token errors name the line of the first bad token in
+    row-major order, with the message of the token as written.
     """
     lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if not lines:
         raise FormatError("empty matrix text")
     header_no, header = lines[0]
     parts = header.split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
         raise FormatError(f"line {header_no}: expected header 'm n', got {header.strip()!r}")
     n_rows, n_cols = int(parts[0]), int(parts[1])
     if n_rows < 1 or n_cols < 1:
@@ -92,31 +164,40 @@ def parse_matrix(text: str, *, exact: bool = False) -> DenseMatrix:
     if len(body) != n_rows:
         raise FormatError(f"expected {n_rows} rows after the header, found {len(body)}")
 
-    tokens: list[tuple[int, list[str]]] = []
+    tokens: list[str] = []
     for line_no, line in body:
         row_tokens = line.split()
         if len(row_tokens) != n_cols:
             raise FormatError(
                 f"line {line_no}: expected {n_cols} entries, found {len(row_tokens)}"
             )
-        tokens.append((line_no, row_tokens))
+        tokens += row_tokens
 
-    values: dict[str, object] = {}  # token -> value, in first-occurrence order
-    first_line: dict[str, int] = {}
+    code, codes = _first_occurrence_codes(tokens)
+    values: list = []
+    parsed: dict[str, object] = {}  # token -> value, the bases of "-x" included
+
+    def value_of(tok: str):
+        if tok not in parsed:
+            parsed[tok] = parse_scalar(tok, exact=exact)
+        return parsed[tok]
+
     try:
-        for line_no, row_tokens in tokens:
-            for tok in dict.fromkeys(row_tokens):
-                if tok not in values:
-                    values[tok] = parse_scalar(tok, exact=exact)
-                    first_line[tok] = line_no
-        is_exact = not any(isinstance(v, float) for v in values.values())
+        for tok in code:
+            base = tok[1:] if tok[0] == "-" else ""
+            if base and base[0] not in "+-":
+                try:
+                    value = -value_of(base)
+                except FormatError:  # fails as written, with its own message
+                    value = parse_scalar(tok, exact=exact)
+            else:
+                value = value_of(tok)
+            values.append(value)
+        is_exact = not any(isinstance(v, float) for v in values)
         if not is_exact:
-            for tok, value in values.items():
-                line_no = first_line[tok]
-                values[tok] = _finite_float(value, tok)
+            for k, tok in enumerate(code):
+                values[k] = _finite_float(values[k], tok)
     except FormatError as exc:
+        line_no = body[tokens.index(tok) // n_cols][0]
         raise FormatError(f"line {line_no}: {exc}") from None
-    value_of = values.__getitem__
-    return DenseMatrix(
-        tuple(tuple(map(value_of, row_tokens)) for _, row_tokens in tokens), is_exact=is_exact
-    )
+    return DenseMatrix._of_codes(tuple(values), codes.reshape(n_rows, n_cols), is_exact)

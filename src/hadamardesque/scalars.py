@@ -23,7 +23,7 @@ from fractions import Fraction
 from .errors import FormatError
 
 # Groups: sign, "sqrt(" (which then requires the closing parenthesis), p, q.
-_TOKEN_RE = re.compile(r"([+-]?)(sqrt\()?(\d+)(?:/(\d+))?(?(2)\))$")
+_TOKEN_RE = re.compile(r"([+-]?)(sqrt\()?(\d+)(?:/(\d+))?(?(2)\))$", re.ASCII)
 
 
 def _exact_sqrt(value: Fraction) -> Fraction | None:
@@ -65,8 +65,8 @@ class SqrtRational:
 
         Returns a Fraction when the radicand is a perfect square.
         """
-        rad = Fraction(radicand)
-        if rad < 0:
+        rad = radicand if type(radicand) is Fraction else Fraction(radicand)
+        if rad.numerator < 0:
             raise ValueError(f"square root of negative value {rad}")
         root = _exact_sqrt(rad)
         if root is not None:
@@ -219,12 +219,16 @@ def parse_scalar(token: str, *, exact: bool = True):
 
     A grammar token gives its exact value: a Fraction, or a SqrtRational for
     an irrational root.  A decimal literal gives a finite float, unless
-    `exact` is set, which refuses it as a malformed exact token.
+    `exact` is set, which refuses it as a malformed exact token.  Tokens
+    are ASCII: a decimal literal with a non-ASCII character or an
+    underscore, both of which float() accepts, is malformed.
     """
     match = _TOKEN_RE.match(token)
     if match is None:
         if exact:
             raise FormatError(f"malformed exact token {token!r}")
+        if not token.isascii() or "_" in token:  # float() reads both
+            raise FormatError(f"malformed scalar token {token!r}")
         try:
             value = float(token)
         except ValueError:

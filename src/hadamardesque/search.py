@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import is_hadamard
-from .dense import DenseMatrix
+from .dense import DenseMatrix, _sign_matrix
 from .walsh import _check_columns, _check_entries, _pair_block, _pair_sums, _sign_block, pair_count
 
 ENGINE_TABLE_BUDGET = 1 << 27  # pair-product table entries (int8 bytes)
@@ -87,7 +87,7 @@ class SearchReport:
 
 def column_set_matrix(m: int, columns) -> DenseMatrix:
     """Dense +-1 matrix whose columns are the given truth columns."""
-    return DenseMatrix(tuple(map(tuple, _sign_block(m, sorted(columns)).tolist())))
+    return _sign_matrix(_sign_block(m, sorted(columns)) < 0)
 
 
 def pair_sign_table(m: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense import DenseMatrix
+from .dense import DenseMatrix, _sign_matrix
 from .errors import ResourceLimitError
 
 # Every output (table, matrix or weight vector) is refused past this many entries.
@@ -116,8 +116,7 @@ def truth_table(m: int) -> DenseMatrix:
     """
     _check_order(m)
     _check_entries(f"truth table of order {m}", m, m - 1)
-    block = _sign_block(m, range(1, (1 << (m - 1)) + 1))
-    return DenseMatrix(tuple(map(tuple, block.tolist())))
+    return _sign_matrix(_sign_block(m, range(1, (1 << (m - 1)) + 1)) < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +182,7 @@ def pair_product_table(m: int) -> DenseMatrix:
     if pair_count(m) < 1:  # pair_count rejects non-integer and nonpositive m
         raise ValueError(f"need m >= 2, got {m}")
     _check_entries(f"pair-product table of order {m}", pair_count(m), m - 1)
-    table = _pair_block(m, range(1, (1 << (m - 1)) + 1))
-    return DenseMatrix(tuple(map(tuple, table.tolist())))
+    return _sign_matrix(_pair_block(m, range(1, (1 << (m - 1)) + 1)) < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +194,10 @@ def sylvester(k: int) -> DenseMatrix:
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"exponent k must be a nonnegative integer, got {k!r}")
     _check_entries(f"Sylvester matrix of order 2^{k}", 1, 2 * k)
-    n = 1 << k
-    rows = tuple(
-        tuple(-1 if (r & c).bit_count() & 1 else 1 for c in range(n)) for r in range(n)
-    )
-    return DenseMatrix(rows)
+    negative = np.zeros((1, 1), bool)
+    for _ in range(k):  # [[H, H], [H, -H]]
+        negative = np.block([[negative, negative], [negative, ~negative]])
+    return _sign_matrix(negative)
 
 
 def fwht(values: Sequence) -> list:

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's bit formulas: Hadamard
 matrices come from the doubling recursion, truth tables from the
 column-doubling recursion, dot products from literal sums of products, the
-column-set oracle enumerates subsets outright, and the realizations build
-their matrices one WeightedColumn at a time.
+column-set oracle enumerates subsets outright, the realizations build
+their matrices one WeightedColumn at a time, the matrix parser reads every
+entry on its own, and the matrix printer finds equal entries by id().
 """
 
 import itertools
@@ -13,8 +14,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from hadamardesque import ConstructionOptions, HadamardesqueMatrix, WeightedColumn, construct_crv
+from hadamardesque import (
+    ConstructionOptions,
+    DenseMatrix,
+    FormatError,
+    HadamardesqueMatrix,
+    WeightedColumn,
+    construct_crv,
+    parse_scalar,
+)
 from hadamardesque.construct import _UNIFORM_REASON, _target_fractions
+from hadamardesque.scalars import _finite_float, format_scalar
 
 
 def sylvester_by_doubling(k: int):
@@ -287,3 +297,63 @@ def construct_by_columns(m, a, options):
     if options.flavor == "rational":
         return realize_uniform_rational(m, a, options)
     return realize_uniform_irrational(m, a, options)
+
+
+# ---------------------------------------------------------------------------
+# The text format entry by entry.
+
+
+def parse_by_token(text: str, exact: bool = False) -> DenseMatrix:
+    """parse_matrix with no sharing: parse_scalar on every entry as written.
+
+    Entries are parsed in row-major order, then, if any is a float, every
+    entry is converted to a finite float in the same order; the first
+    failure names its line.
+    """
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    if not lines:
+        raise FormatError("empty matrix text")
+    header_no, header = lines[0]
+    parts = header.split()
+    if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
+        raise FormatError(f"line {header_no}: expected header 'm n', got {header.strip()!r}")
+    n_rows, n_cols = int(parts[0]), int(parts[1])
+    if n_rows < 1 or n_cols < 1:
+        raise FormatError(f"line {header_no}: dimensions must be positive")
+    if len(lines) - 1 != n_rows:
+        raise FormatError(f"expected {n_rows} rows after the header, found {len(lines) - 1}")
+    rows = []
+    for line_no, line in lines[1:]:
+        tokens = line.split()
+        if len(tokens) != n_cols:
+            raise FormatError(f"line {line_no}: expected {n_cols} entries, found {len(tokens)}")
+        rows.append((line_no, tokens))
+    values = []
+    for line_no, tokens in rows:
+        try:
+            values.append([parse_scalar(tok, exact=exact) for tok in tokens])
+        except FormatError as exc:
+            raise FormatError(f"line {line_no}: {exc}") from None
+    is_exact = not any(isinstance(v, float) for row in values for v in row)
+    if not is_exact:
+        for (line_no, tokens), row in zip(rows, values):
+            try:
+                row[:] = [_finite_float(v, tok) for v, tok in zip(row, tokens)]
+            except FormatError as exc:
+                raise FormatError(f"line {line_no}: {exc}") from None
+    return DenseMatrix(tuple(map(tuple, values)), is_exact=is_exact)
+
+
+def format_by_id(matrix: DenseMatrix) -> str:
+    """The shared text format, formatting each distinct entry object once.
+
+    Tokens are remembered by identity, not by value: 1 and 1.0 are equal
+    but print as different tokens.
+    """
+    objects: dict[int, object] = {}
+    for row in matrix.entries:
+        objects.update(zip(map(id, row), row))
+    token = {key: format_scalar(entry) for key, entry in objects.items()}.__getitem__
+    lines = [f"{matrix.rows} {matrix.cols}"]
+    lines.extend(" ".join(map(token, map(id, row))) for row in matrix.entries)
+    return "\n".join(lines) + "\n"

@@ -388,6 +388,23 @@ def test_malformed_matrix_names_line(capsys, tmp_path):
     assert "line 3" in err and "bogus!" in err
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("1 1\n1_0\n", "line 2: malformed scalar token '1_0'"),
+        ("2 2\n\u0661 1\n1 -1\n", "line 2: malformed scalar token '\u0661'"),
+        ("\u0662 2\n1 1\n1 -1\n", "line 1: expected header 'm n', got '\u0662 2'"),
+        ("2 \u00b2\n1 1\n1 -1\n", "line 1: expected header 'm n', got '2 \u00b2'"),
+    ],
+    ids=["underscore", "arabic-indic-digit", "arabic-indic-header", "superscript-header"],
+)
+def test_matrix_text_outside_the_ascii_grammar_is_an_input_error(capsys, tmp_path, text, message):
+    # float() and int() read these; the grammar does not.
+    path = tmp_path / "unicode.txt"
+    path.write_text(text, encoding="utf-8")
+    assert run(capsys, "crv", str(path)) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["crv", "dots", "classify"])
 def test_entry_past_the_int_digit_limit_names_line(capsys, tmp_path, command):
     # 5,000 digits is past Python's default int-string limit of 4,300.

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,9 +6,15 @@ import pytest
 from hadamardesque import (
     DenseMatrix,
     FormatError,
+    HadamardesqueMatrix,
     SqrtRational,
+    WeightedColumn,
+    column_set_matrix,
     format_matrix,
+    pair_product_table,
     parse_matrix,
+    sylvester,
+    truth_table,
 )
 
 
@@ -104,10 +111,19 @@ def test_parse_work_is_one_call_per_distinct_token(monkeypatch, exact):
     text = "3 4\n" + "".join(" ".join(row) + "\n" for row in rows)
     calls = _counting(monkeypatch, "parse_scalar")
     matrix = parse_matrix(text, exact=exact)
-    distinct = list(dict.fromkeys(tok for row in rows for tok in row))
-    assert calls == distinct  # 12 entries, 5 distinct tokens, first-occurrence order
+    # 12 entries, 5 distinct tokens; "-x" negates the parse of x, in first-occurrence order.
+    assert calls == ["3/4", "sqrt(2)", "6/8"]
     assert matrix.entries[0][0] is matrix.entries[1][1] is matrix.entries[0][3]
+    assert matrix.entries[0][1] is matrix.entries[1][0] is matrix.entries[2][3]
+    assert matrix.entries[0][1] == -matrix.entries[0][0]
     assert matrix.entries[0][0] == matrix.entries[1][3]  # "6/8" is its own token
+
+
+def test_negated_token_parses_its_unsigned_part_once_when_it_comes_first(monkeypatch):
+    calls = _counting(monkeypatch, "parse_scalar")
+    matrix = parse_matrix("2 2\n-5 -sqrt(3)\n5 +5\n")
+    assert calls == ["5", "sqrt(3)", "+5"]  # "5" is parsed for "-5", then reused
+    assert matrix.entries == ((-5, -SqrtRational.sqrt(3)), (5, 5))
 
 
 def test_auto_float_conversion_is_one_call_per_distinct_token(monkeypatch):
@@ -146,3 +162,107 @@ def test_format_work_is_one_call_per_distinct_entry_object(monkeypatch):
     calls = _counting(monkeypatch, "format_scalar")
     assert format_matrix(matrix) == "2 3\n1/2 sqrt(2) 1/2\n-sqrt(2) 1/2 sqrt(2)\n"
     assert len(calls) == 3  # half, root and one -root object
+
+
+def test_negated_zero_keeps_the_sign_of_its_token():
+    # "-0" negates the exact 0 before the float conversion; "-0.0" is a float.
+    matrix = parse_matrix("2 3\n-0 -0.0 0.5\n0 0.0 -0.5\n")
+    assert not matrix.is_exact
+    signs = [[math.copysign(1, e) for e in row] for row in matrix.entries]
+    assert signs == [[1, -1, 1], [1, 1, -1]]
+    assert format_matrix(matrix) == "2 3\n0.0 -0.0 0.5\n0.0 0.0 -0.5\n"
+
+
+# --- the coded form: distinct entries plus a read-only code array -------------
+
+
+def coded_matrices():
+    half, root = Fraction(1, 2), SqrtRational.sqrt(2)
+    weighted = HadamardesqueMatrix(3, (WeightedColumn(2, 3, 2), WeightedColumn(Fraction(1, 4), 2),
+                                       WeightedColumn(2, 4), WeightedColumn(9, 1)))
+    return {
+        "parsed": parse_matrix("3 4\n1/2 -1/2 sqrt(2) 1/2\n-sqrt(2) 0.5 1/2 -1/2\n1 1 1 1\n"),
+        "constructed": DenseMatrix(((half, root, half), (-root, half, root))),
+        "truth_table": truth_table(4),
+        "pair_product_table": pair_product_table(4),
+        "sylvester": sylvester(3),
+        "sylvester_0": sylvester(0),
+        "column_set": column_set_matrix(4, [7, 1, 6, 4]),
+        "dense": weighted.dense(),
+    }
+
+
+@pytest.mark.parametrize("name", list(coded_matrices()))
+def test_codes_are_read_only(name):
+    matrix = coded_matrices()[name]
+    with pytest.raises(ValueError, match="read-only"):
+        matrix._codes[0, 0] = 0
+
+
+@pytest.mark.parametrize("name", list(coded_matrices()))
+def test_every_distinct_entry_is_used_and_codes_follow_first_occurrence(name):
+    matrix = coded_matrices()[name]
+    assert matrix._codes.shape == matrix.shape
+    first_seen = list(dict.fromkeys(matrix._codes.ravel().tolist()))
+    assert first_seen == list(range(len(matrix._distinct)))
+    assert len({id(e) for e in matrix._distinct}) == len(matrix._distinct)
+    entry = matrix._distinct.__getitem__
+    assert matrix.entries == tuple(tuple(map(entry, row)) for row in matrix._codes.tolist())
+
+
+def test_weighted_matrix_expands_to_signed_roots():
+    matrix = coded_matrices()["dense"]
+    root = SqrtRational.sqrt(2)
+    # Columns: truth column 3 (x2) and 4 of weight 2, 2 of weight 1/4, 1 of weight 9.
+    assert matrix.entries == (
+        (root, root, Fraction(1, 2), root, 3),
+        (root, root, Fraction(-1, 2), -root, 3),
+        (-root, -root, Fraction(1, 2), -root, 3),
+    )
+    assert matrix._distinct == (root, Fraction(1, 2), 3, Fraction(-1, 2), -root)
+
+
+def test_constructed_and_parsed_matrices_compare_and_hash_equal():
+    half, root = Fraction(1, 2), SqrtRational.sqrt(2)
+    matrices = [
+        DenseMatrix(((half, root, half), (-root, half, root))),
+        DenseMatrix(((0.5, -1.25), (3.0, 2.0)), is_exact=False),
+        sylvester(2),
+        DenseMatrix(((1, 2),)),
+    ]
+    for matrix in matrices:
+        again = parse_matrix(format_matrix(matrix))
+        rebuilt = DenseMatrix(matrix.entries, matrix.is_exact)
+        assert again == matrix == rebuilt
+        assert hash(again) == hash(matrix) == hash(rebuilt)
+    # Equal values of other types compare equal, as tuples of them do.
+    assert DenseMatrix(((1, 2),)) == DenseMatrix(((1.0, Fraction(2)),))
+    assert hash(DenseMatrix(((1, 2),))) == hash(DenseMatrix(((1.0, Fraction(2)),)))
+    assert DenseMatrix(((1, 2),)) != DenseMatrix(((1, 2),), is_exact=False)
+    assert DenseMatrix(((1, 2),)) != DenseMatrix(((1, 3),))
+    assert repr(DenseMatrix(((1, 2),))) == "DenseMatrix(entries=((1, 2),), is_exact=True)"
+
+
+def test_equal_entries_of_different_types_stay_distinct():
+    matrix = DenseMatrix(((1, 1.0, True), (True, 1.0, 1)), is_exact=False)
+    assert [type(e) for e in matrix._distinct] == [int, float, bool]
+    assert matrix._codes.tolist() == [[0, 1, 2], [2, 1, 0]]
+    assert format_matrix(matrix) == "2 3\n1 1.0 1\n1 1.0 1\n"
+
+
+# --- the grammar is ASCII -----------------------------------------------------
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["auto", "exact"])
+@pytest.mark.parametrize("token", ["\u0661", "-\u0661", "\uff11.0", "1_0", "1_0.5", "-1_0"])
+def test_non_ascii_and_underscored_tokens_are_malformed(token, exact):
+    # float() reads an Arabic-Indic or fullwidth digit and an underscore; the grammar does not.
+    kind = "exact" if exact else "scalar"
+    with pytest.raises(FormatError, match=rf"^line 3: malformed {kind} token {token!r}$"):
+        parse_matrix(f"2 2\n1 1\n{token} 1\n", exact=exact)
+
+
+@pytest.mark.parametrize("header", ["\u0662 2", "2 \u00b2", "\uff12 2"])
+def test_non_ascii_header_digits_are_a_header_error(header):
+    with pytest.raises(FormatError, match=rf"^line 1: expected header 'm n', got {header!r}$"):
+        parse_matrix(f"{header}\n1 1\n1 -1\n")

@@ -1,6 +1,8 @@
 """Invariants checked over generated inputs."""
 
+import math
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from unittest import mock
 
@@ -11,13 +13,16 @@ from oracles import (
     construct_by_columns,
     factor_by_lead,
     factor_by_squares,
+    format_by_id,
     pair_products_by_rows,
+    parse_by_token,
     truth_by_recursion,
 )
 from hadamardesque import walsh
 from hadamardesque import (
     ConstructionOptions,
     DenseMatrix,
+    FormatError,
     HadamardesqueMatrix,
     RepresentationVector,
     ShapeError,
@@ -351,3 +356,52 @@ def test_pair_sums_are_pair_row_sums(m, column_route, l1_norm, data):
     with mock.patch.object(walsh, "_int_fwht", wraps=walsh._int_fwht) as dense_route:
         assert walsh._pair_sums(m, indices, weights) == expected
     assert dense_route.called == (not column_route)
+
+
+# Unsigned token bodies: grammar tokens, decimals and a value no float holds;
+# then values no float holds, tokens past the int-string digit limit, and
+# tokens outside the grammar.
+GOOD_BODIES = (
+    "0", "3", "12", "3/4", "6/8", "sqrt(2)", "sqrt(1/2)", "sqrt(4)", "sqrt(0)",
+    "0.5", "0.0", "2.5e-3", "1e3", "1" + "0" * 400,
+)
+BAD_BODIES = ("inf", "1e400", "7" * 4400, "1/0", "1_0", "\u0661", "abc", "sqrt(2", "")
+SIGNS = ("", "", "", "-", "-", "-", "-", "+", "-+", "--")
+
+
+def _outcome(function, *args, **kwargs):
+    try:
+        return function(*args, **kwargs)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+@st.composite
+def token_grids(draw):
+    """Matrix text over a few bodies, each under a few signs (x, -x, +x, -+x, --x)."""
+    palette = []
+    for _ in range(draw(st.integers(1, 3))):
+        bad = draw(st.integers(0, 5)) == 0
+        body = draw(st.sampled_from(BAD_BODIES if bad else GOOD_BODIES))
+        signs = draw(st.lists(st.sampled_from(SIGNS), min_size=1, max_size=3))
+        palette += [sign + body or "-" for sign in signs]  # "" stands for "-"
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    grid = [[draw(st.sampled_from(palette)) for _ in range(cols)] for _ in range(rows)]
+    return f"{rows} {cols}\n" + "".join(" ".join(row) + "\n" for row in grid)
+
+
+@settings(deadline=None, max_examples=300)
+@given(token_grids(), st.booleans())
+def test_parse_matches_the_token_by_token_oracle(text, exact):
+    parsed = _outcome(parse_matrix, text, exact=exact)
+    expected = _outcome(parse_by_token, text, exact=exact)
+    if isinstance(expected, str):
+        assert parsed == expected
+        return
+    assert parsed.is_exact == expected.is_exact
+    for got, want in zip(chain(*parsed.entries), chain(*expected.entries)):
+        assert type(got) is type(want) and got == want
+        if isinstance(want, float):
+            assert math.copysign(1, got) == math.copysign(1, want)
+    assert parsed == expected and hash(parsed) == hash(expected)
+    assert _outcome(format_matrix, parsed) == _outcome(format_by_id, expected)
