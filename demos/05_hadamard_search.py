@@ -3,7 +3,9 @@
 An order-m Hadamard matrix is the same thing as an m-subset of the 2^(m-1)
 sign columns whose 0/1 weight vector kills every pair-product row -- a
 lattice point with m ones.  The engine backtracks over ascending column
-indices with exact integer pair sums and parity/bound pruning.
+indices, counting for every row pair the chosen columns on which its two
+rows agree and those on which they disagree; a branch dies as soon as
+either count would pass m/2.
 """
 
 from hadamardesque import (

@@ -9,7 +9,11 @@ The text format is the interchange surface for every tool in the package:
 
 Entries are tokens of the one grammar in `scalars`: an optional sign, then
 ``p``, ``p/q``, ``sqrt(p)`` or ``sqrt(p/q)``.  Decimal literals make a
-float matrix unless the parse is exact.
+float matrix unless the parse is exact.  The format is ASCII throughout:
+lines end at ``\n`` (so a ``\r\n`` file reads the same), and tokens are
+separated by ASCII whitespace only.  Any other character, a Unicode line
+or space separator included, belongs to a token or line and is an error
+that names its line.
 """
 
 from __future__ import annotations
@@ -150,13 +154,16 @@ def parse_matrix(text: str, *, exact: bool = False) -> DenseMatrix:
     per entry.  Token errors name the line of the first bad token in
     row-major order, with the message of the token as written.
     """
-    lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    # Split as bytes: bytes.split() breaks at ASCII whitespace only.
+    data = text.encode("utf-8", "surrogatepass")
+    lines = [(n, line) for n, line in enumerate(data.split(b"\n"), start=1) if line.strip()]
     if not lines:
         raise FormatError("empty matrix text")
     header_no, header = lines[0]
     parts = header.split()
-    if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
-        raise FormatError(f"line {header_no}: expected header 'm n', got {header.strip()!r}")
+    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        got = header.strip().decode("utf-8", "surrogatepass")
+        raise FormatError(f"line {header_no}: expected header 'm n', got {got!r}")
     n_rows, n_cols = int(parts[0]), int(parts[1])
     if n_rows < 1 or n_cols < 1:
         raise FormatError(f"line {header_no}: dimensions must be positive")
@@ -164,7 +171,7 @@ def parse_matrix(text: str, *, exact: bool = False) -> DenseMatrix:
     if len(body) != n_rows:
         raise FormatError(f"expected {n_rows} rows after the header, found {len(body)}")
 
-    tokens: list[str] = []
+    tokens: list[bytes] = []
     for line_no, line in body:
         row_tokens = line.split()
         if len(row_tokens) != n_cols:
@@ -174,6 +181,7 @@ def parse_matrix(text: str, *, exact: bool = False) -> DenseMatrix:
         tokens += row_tokens
 
     code, codes = _first_occurrence_codes(tokens)
+    distinct = [raw.decode("utf-8", "surrogatepass") for raw in code]
     values: list = []
     parsed: dict[str, object] = {}  # token -> value, the bases of "-x" included
 
@@ -183,7 +191,7 @@ def parse_matrix(text: str, *, exact: bool = False) -> DenseMatrix:
         return parsed[tok]
 
     try:
-        for tok in code:
+        for tok in distinct:
             base = tok[1:] if tok[0] == "-" else ""
             if base and base[0] not in "+-":
                 try:
@@ -195,9 +203,9 @@ def parse_matrix(text: str, *, exact: bool = False) -> DenseMatrix:
             values.append(value)
         is_exact = not any(isinstance(v, float) for v in values)
         if not is_exact:
-            for k, tok in enumerate(code):
+            for k, tok in enumerate(distinct):
                 values[k] = _finite_float(values[k], tok)
     except FormatError as exc:
-        line_no = body[tokens.index(tok) // n_cols][0]
+        line_no = body[tokens.index(tok.encode("utf-8", "surrogatepass")) // n_cols][0]
         raise FormatError(f"line {line_no}: {exc}") from None
     return DenseMatrix._of_codes(tuple(values), codes.reshape(n_rows, n_cols), is_exact)

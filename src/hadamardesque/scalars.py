@@ -23,7 +23,8 @@ from fractions import Fraction
 from .errors import FormatError
 
 # Groups: sign, "sqrt(" (which then requires the closing parenthesis), p, q.
-_TOKEN_RE = re.compile(r"([+-]?)(sqrt\()?(\d+)(?:/(\d+))?(?(2)\))$", re.ASCII)
+# Matched with fullmatch: `$` would also match before a trailing newline.
+_TOKEN_RE = re.compile(r"([+-]?)(sqrt\()?(\d+)(?:/(\d+))?(?(2)\))", re.ASCII)
 
 
 def _exact_sqrt(value: Fraction) -> Fraction | None:
@@ -220,14 +221,15 @@ def parse_scalar(token: str, *, exact: bool = True):
     A grammar token gives its exact value: a Fraction, or a SqrtRational for
     an irrational root.  A decimal literal gives a finite float, unless
     `exact` is set, which refuses it as a malformed exact token.  Tokens
-    are ASCII: a decimal literal with a non-ASCII character or an
-    underscore, both of which float() accepts, is malformed.
+    are ASCII and hold no whitespace: a decimal literal with a non-ASCII
+    character, an underscore or surrounding whitespace, all of which
+    float() accepts, is malformed.
     """
-    match = _TOKEN_RE.match(token)
+    match = _TOKEN_RE.fullmatch(token)
     if match is None:
         if exact:
             raise FormatError(f"malformed exact token {token!r}")
-        if not token.isascii() or "_" in token:  # float() reads both
+        if not token.isascii() or "_" in token or token.strip() != token:  # float() reads all three
             raise FormatError(f"malformed scalar token {token!r}")
         try:
             value = float(token)

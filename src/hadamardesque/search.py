@@ -3,28 +3,37 @@
 A Hadamard matrix of order m is an m-subset of the 2^(m-1) truth columns
 whose pairwise products sum to zero on every row pair; equivalently its 0/1
 weight vector has m ones and vanishing Walsh spectrum on every pair mask.
-The engine runs depth-first over ascending column indices, keeping the
-m(m-1)/2 running pair sums as a small integer array.
-
-Pruning: a pair sum built from k columns contributes +-1 per column, so it
-always has the parity of k; with r columns still to choose, a branch dies
-as soon as any |pair sum| exceeds r, and no odd order ever leaves the root
-(the final parity cannot be even).  Ascending indices enumerate subsets,
-not permutations.  Optionally the all-ones column can be forced into every
+So any two rows agree in exactly m/2 of the chosen columns and disagree in
+the other m/2.  The engine runs depth-first over ascending column indices
+(subsets, not permutations) and counts, for each of the P = m(m-1)/2 row
+pairs, the chosen columns whose product on it is +1 and those where it is
+-1.  Neither count may pass m/2, so a branch dies as soon as one would, and
+no odd order ever leaves the root.  This is the pair-sum bound: with k
+columns chosen, r = m - k to go and pair sum s = plus - minus, where
+plus + minus = k, s <= r holds exactly when plus <= m/2 and s >= -r exactly
+when minus <= m/2.  Optionally the all-ones column can be forced into every
 solution: negating the rows where any chosen column is negative (then
 renormalising column signs) maps solutions onto solutions containing it.
 
-The prune is read off *tight* pairs.  For even m, a node with r columns
-still to choose has every pair sum s of the parity of r, and |s| <= r
-because its parent admitted it.  A candidate column adds t = +-1, and
-|s + t| <= r - 1 can fail only when |s| = r, where t must have the sign
-opposite to s.  A pair that is tight at a node stays tight, with the same
-sign, in every child, so a column that passes a child's test passed its
-parent's too.  Candidates are therefore one Python-int bitset over the
-columns (bit j-1 for column j): a child takes its parent's surviving bits
-above its own column and ANDs in, for each tight pair p, ``minus[p]`` (the
-columns whose product on p is -1) or its complement ``plus[p]``.  Both are
-built once per run from the pair-sign table.
+The counts are byte lanes of one Python int: plus lane p is byte p and
+minus lane p is byte P + p, pairs in pair_index order.  Every lane starts
+at the bias 128 - m/2 (positive for every order the table budget admits),
+so it stays within [128 - m/2, 128], no carry ever crosses into the next
+lane, and its high bit is set exactly when its count is m/2: the lane is
+*saturated*.  A saturated lane is a tight pair of the pair-sum view
+(plus = m/2 is s = r, minus = m/2 is s = -r), and every later column must
+then have product -1 (plus lane) or +1 (minus lane) on that pair.  Counts
+never fall, so a saturated lane stays saturated in every child, and a
+column that passes a child's test passed its parent's too.
+Candidates are therefore one Python-int bitset over the columns (bit j-1
+for column j): a child takes its parent's surviving bits above its own
+column and ANDs in, for each lane it newly saturated, the mask of the
+columns that leave that lane alone: ``minus[p]`` (the columns whose product
+on p is -1) for plus lane p, its complement ``plus[p]`` for minus lane p.
+The masks are built once per run from the pair-sign table, and a column's
+lane increment, its *step*, the first time the walk reaches that column.
+A child's lanes are its parent's plus its column's step, and a set of m
+columns is a solution exactly when every lane reads 128.
 
 The search is one sequential depth-first walk from the root under one set
 of budgets, so partial runs are deterministic too: every run visits the same
@@ -131,32 +140,68 @@ class _Run:
             raise _Stop("solutions")
 
 
-def _dfs(table: np.ndarray, minus: list[int], plus: list[int], chosen: tuple[int, ...],
-         sums: np.ndarray, candidates: int, remaining: int, run: _Run) -> None:
-    """Walk the subtree below `chosen`, whose pair sums are `sums`.
+_MINUS_LANE = bytes.maketrans(b"\x01\xff", b"\x00\x01")  # int8 product +1 -> 0, -1 -> 1
 
-    `candidates` holds the columns above the last chosen one that passed
-    every ancestor's test.  With `remaining` = r > 0, a column j passes this
-    node's test when |s + table[:, j-1]| <= r - 1 on every pair.  Sums have
-    the parity of r (m is even) and |s| <= r, so only tight pairs (|s| = r)
-    can fail it, and on those the column's product must be -sign(s): one
-    AND with ``minus[p]`` or ``plus[p]`` per tight pair.  Tight pairs stay
-    tight in every child, so the inherited bits already passed the
-    ancestors' tests and the ANDs leave exactly this node's feasible set.
-    Columns are then visited in ascending order up to the last one leaving
-    room for the rest.
+
+class _Lanes(dict):
+    """The count lanes of one even order: masks, bias, high bits and steps.
+
+    As a dict it maps a column index to that column's step, built the first
+    time the walk asks for it from the column of the pair-sign table: one
+    in minus lane p where the column's product on pair p is -1, and one in
+    plus lane p where it is +1.  `masks[lane]` is the column bitset that
+    leaves `lane` alone.
     """
+
+    __slots__ = ("table", "half", "plus_ones", "masks", "start", "high", "n_columns")
+
+    def __init__(self, m: int, table: np.ndarray):
+        super().__init__()
+        pairs, self.n_columns = table.shape
+        self.table = table
+        self.half = 8 * pairs  # bit offset of the minus lanes
+        self.plus_ones = (1 << self.half) // 255  # a one in every plus lane
+        every_lane = (1 << 2 * self.half) // 255
+        self.start = (128 - m // 2) * every_lane
+        self.high = 128 * every_lane
+        everything = (1 << self.n_columns) - 1  # bit j-1 stands for column j
+        minus = [int.from_bytes(np.packbits(row < 0, bitorder="little").tobytes(), "little")
+                 for row in table]
+        self.masks = minus + [everything ^ bits for bits in minus]
+
+    def __missing__(self, j: int) -> int:
+        minus = int.from_bytes(self.table[:, j - 1].tobytes().translate(_MINUS_LANE), "little")
+        step = self[j] = (minus << self.half) - minus + self.plus_ones
+        return step
+
+
+def _dfs(lanes: _Lanes, chosen: tuple[int, ...], state: int, saturated: int, candidates: int,
+         remaining: int, run: _Run) -> None:
+    """Walk the subtree below `chosen`, whose count lanes are `state`.
+
+    `saturated` holds the high bits of the parent's saturated lanes, and
+    `candidates` the columns above the last chosen one that passed every
+    ancestor's test.  With `remaining` columns to go, a column passes this
+    node's test when it adds to no saturated lane.  The lanes saturated at
+    the parent were ANDed in above it, so only those saturated here and not
+    there cost one AND each, and the ANDs stop once no candidate is left.
+    Columns are then visited in ascending order up to the last one leaving
+    room for the rest.  At a leaf every count is m/2 exactly when `state`
+    is the lanes' high mask.
+    """
+    high = lanes.high
     if remaining == 0:
-        if not np.any(sums):
+        if state == high:
             run.emit(chosen)
         return
-    row = sums.tobytes()  # a tight sum r or -r is the int8 byte r or 256 - r
-    for value, masks in ((remaining, minus), (256 - remaining, plus)):
-        p = row.find(value)
-        while p >= 0:
-            candidates &= masks[p]
-            p = row.find(value, p + 1)
-    hi = table.shape[1] - remaining + 1  # last index leaving room for the rest
+    now = state & high
+    masks = lanes.masks
+    row = (now ^ saturated).to_bytes(len(masks), "little")  # 128 at each new lane
+    p = row.find(128)
+    while p >= 0 and candidates:
+        candidates &= masks[p]
+        p = row.find(128, p + 1)
+    hi = lanes.n_columns - remaining + 1  # last index leaving room for the rest
     while candidates:
         low = candidates & -candidates
         j = low.bit_length()
@@ -164,8 +209,7 @@ def _dfs(table: np.ndarray, minus: list[int], plus: list[int], chosen: tuple[int
             return
         candidates ^= low
         run.visit()
-        _dfs(table, minus, plus, chosen + (j,), sums + table[:, j - 1], candidates,
-             remaining - 1, run)
+        _dfs(lanes, chosen + (j,), state + lanes[j], now, candidates, remaining - 1, run)
 
 
 def find_hadamard_column_sets(m: int, limit: int | None = None,
@@ -174,7 +218,7 @@ def find_hadamard_column_sets(m: int, limit: int | None = None,
     """Stream all m-subsets of truth columns that form a Hadamard matrix.
 
     Every solution is triple-checked as soon as it is found, then handed to
-    `on_solution`: its running pair sums are zero, verify_column_set's pair
+    `on_solution`: its count lanes all read m/2, verify_column_set's pair
     sums vanish, and its dense matrix passes the direct Hadamard test.  The
     report says whether the tree was fully explored and which budget (if
     any) cut the run short.  Odd orders end at the root; even orders whose
@@ -193,18 +237,14 @@ def find_hadamard_column_sets(m: int, limit: int | None = None,
     # Parity of the final pair sums equals the parity of m: odd orders are
     # exhausted at the root without expanding anything.
     if m % 2 == 0:
-        table = pair_sign_table(m)
-        everything = (1 << table.shape[1]) - 1  # bit j-1 stands for column j
-        minus = [int.from_bytes(np.packbits(row < 0, bitorder="little").tobytes(), "little")
-                 for row in table]
-        plus = [everything ^ bits for bits in minus]
+        lanes = _Lanes(m, pair_sign_table(m))
+        everything = (1 << lanes.n_columns) - 1
         try:
             if opts.force_first_column:
                 run.visit()
-                _dfs(table, minus, plus, (1,), table[:, 0], everything - 1, m - 1, run)
+                _dfs(lanes, (1,), lanes.start + lanes[1], 0, everything - 1, m - 1, run)
             else:
-                sums = np.zeros(table.shape[0], dtype=np.int8)
-                _dfs(table, minus, plus, (), sums, everything, m, run)
+                _dfs(lanes, (), lanes.start, 0, everything, m, run)
         except _Stop as stop:
             reason = stop.args[0]
 

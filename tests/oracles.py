@@ -152,8 +152,8 @@ def search_walk(m: int, force_first_column: bool = False, node_limit: int | None
                 emitted.append((chosen, len(walk)))
             return
         for c in range(start, n_cols - remaining + 2):
-            after = [s + t for s, t in zip(sums, products[c])]
-            if all(abs(s) <= remaining - 1 for s in after):
+            if all(abs(s + t) <= remaining - 1 for s, t in zip(sums, products[c])):
+                after = [s + t for s, t in zip(sums, products[c])]
                 visit(chosen + (c,))
                 expand(chosen + (c,), after, c + 1, remaining - 1)
 

@@ -405,6 +405,30 @@ def test_matrix_text_outside_the_ascii_grammar_is_an_input_error(capsys, tmp_pat
     assert run(capsys, "crv", str(path)) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("2 1\n1\u20282\n", "expected 2 rows after the header, found 1"),
+        ("2 1\n1\x852\n", "expected 2 rows after the header, found 1"),
+        ("1 2\n1\u00a0-1\n", "line 2: expected 2 entries, found 1"),
+        ("2 2\n1 1\n1\u00a0 -1\n", "line 3: malformed scalar token '1\\xa0'"),
+    ],
+    ids=["line-separator", "next-line", "no-break-space", "no-break-space-in-token"],
+)
+def test_non_ascii_separators_are_input_errors(capsys, tmp_path, text, message):
+    # str.splitlines() and str.split() break at these; the format does not.
+    path = tmp_path / "separators.txt"
+    path.write_text(text, encoding="utf-8")
+    assert run(capsys, "crv", str(path)) == (2, "", f"error: {message}\n")
+
+
+def test_crlf_matrix_file_parses(capsys, tmp_path, example_file):
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(goldens.EXAMPLE_MATRIX_TEXT.replace("\n", "\r\n").encode())
+    assert run(capsys, "crv", str(path)) == run(capsys, "crv", example_file)
+    assert run(capsys, "crv", str(path))[0] == 0
+
+
 @pytest.mark.parametrize("command", ["crv", "dots", "classify"])
 def test_entry_past_the_int_digit_limit_names_line(capsys, tmp_path, command):
     # 5,000 digits is past Python's default int-string limit of 4,300.
@@ -581,6 +605,7 @@ def test_search_of_a_huge_odd_order_is_exhausted_at_the_root():
         ("v.json", '{"m": 2, "v": [null, 1]}'),
         ("v.json", '{"m": 2, "v": ["sqrt(2)", 1]}'),
         ("v.json", '{"m": 2, "v": [" 1", 1]}'),
+        ("v.json", '{"m": 2, "v": ["1\\n", "1"]}'),
     ],
 )
 def test_in_span_entries_outside_the_grammar_are_input_errors(capsys, tmp_path, name, text):

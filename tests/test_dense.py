@@ -266,3 +266,19 @@ def test_non_ascii_and_underscored_tokens_are_malformed(token, exact):
 def test_non_ascii_header_digits_are_a_header_error(header):
     with pytest.raises(FormatError, match=rf"^line 1: expected header 'm n', got {header!r}$"):
         parse_matrix(f"{header}\n1 1\n1 -1\n")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_rows_end_at_newline_only(newline):
+    text = newline.join(["2 2", "1 1", "1 -1", ""])
+    assert parse_matrix(text) == parse_matrix("2 2\n1 1\n1 -1\n")
+    for separator in ("\u2028", "\x85", "\u2029", "\x1c", "\f", "\v"):
+        with pytest.raises(FormatError, match="^expected 2 rows after the header, found 1$"):
+            parse_matrix(f"2 2\n1 1{separator}1 -1\n")
+
+
+@pytest.mark.parametrize("separator", ["\u00a0", "\u3000", "\x1c", "\x1f"])
+def test_tokens_split_at_ascii_whitespace_only(separator):
+    with pytest.raises(FormatError, match="^line 2: expected 2 entries, found 1$"):
+        parse_matrix(f"1 2\n1{separator}-1\n")
+    assert parse_matrix("1 2\n1\t-1 \v\f\r\n") == parse_matrix("1 2\n1 -1\n")

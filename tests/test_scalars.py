@@ -110,3 +110,11 @@ def test_parse_refuses_integers_past_the_digit_limit(token, exact):
 def test_parse_auto_prefers_exact():
     assert parse_scalar("3/4", exact=False) == Fraction(3, 4)
     assert parse_scalar("0.25", exact=False) == 0.25
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "auto"])
+@pytest.mark.parametrize("token", ["3\n", "3/4\n", "sqrt(2)\n", "0.5\n", " 3", "3\t"])
+def test_parse_refuses_whitespace_around_a_token(token, exact):
+    # A `$` anchor would accept a trailing newline, and float() strips whitespace.
+    with pytest.raises(FormatError):
+        parse_scalar(token, exact=exact)

@@ -92,10 +92,10 @@ def _engine_walk(monkeypatch, m, force_first_column, node_limit=None):
         visit(run)
         visits.append(run.nodes)
 
-    def recording_dfs(table, minus, plus, chosen, *rest):
+    def recording_dfs(lanes, chosen, *rest):
         if chosen:
             walk.append(chosen)
-        dfs(table, minus, plus, chosen, *rest)
+        dfs(lanes, chosen, *rest)
 
     monkeypatch.setattr(search._Run, "visit", counting_visit)
     monkeypatch.setattr(search, "_dfs", recording_dfs)
@@ -109,7 +109,9 @@ def _engine_walk(monkeypatch, m, force_first_column, node_limit=None):
 
 
 @pytest.mark.parametrize("force_first_column", [False, True])
-@pytest.mark.parametrize(("m", "node_limit"), [(4, None), (6, None), (8, 4_000)])
+@pytest.mark.parametrize(
+    ("m", "node_limit"), [(4, None), (6, None), (8, 4_000), (10, 3_000), (12, 2_000)]
+)
 def test_walk_matches_the_literal_pair_sum_dfs(monkeypatch, m, node_limit, force_first_column):
     walk, emitted = _engine_walk(monkeypatch, m, force_first_column, node_limit)
     assert (walk, emitted) == search_walk(m, force_first_column, node_limit)
@@ -218,7 +220,10 @@ def test_pruning_reduces_nodes_without_changing_solutions():
 
 def test_order_eight_finds_solution():
     report = find_hadamard_column_sets(8, limit=1)
-    assert len(report.solutions) == 1
+    # Pinned: the walk to the first order-8 solution, node for node.
+    assert report.nodes == 569_229
+    assert report.solutions == ((1, 16, 52, 61, 86, 91, 103, 106),)
+    assert report.limit_fired == "solutions"
     (solution,) = report.solutions
     assert verify_column_set(8, solution)
     assert is_hadamard(column_set_matrix(8, solution))
