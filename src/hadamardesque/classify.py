@@ -263,19 +263,14 @@ def factor_columns(matrix: DenseMatrix, tol: float | None = None) -> Factorizati
 def _exact_squares(matrix: DenseMatrix) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
     """Square group and sign of every entry, and each group's square in lowest terms.
 
-    Each distinct entry's square and sign are computed once, from integers:
-    a rational p/q in lowest terms squares to p^2/q^2, also in lowest
-    terms.  Squares are grouped by value, and the matrix's codes spread
-    groups and signs to the entries.
+    Each distinct entry's sign and square come from the matrix's table of
+    them, which a parsed matrix fills from its tokens' integers.  Squares
+    are grouped by value, and the matrix's codes spread groups and signs
+    to the entries.
     """
     groups: dict[tuple[int, int], int] = {}  # square (p, q) -> group number, first seen first
     group, sign = [], []
-    for entry in matrix._distinct:
-        if isinstance(entry, SqrtRational):
-            square, s = entry.square.as_integer_ratio(), entry.sign
-        else:
-            p, q = entry.as_integer_ratio()
-            square, s = (p * p, q * q), (p > 0) - (p < 0)
+    for s, square in matrix._squares:
         group.append(groups.setdefault(square, len(groups)))
         sign.append(s)
     codes = matrix._codes

@@ -25,7 +25,7 @@ from .classify import (
     pairwise_dots,
 )
 from .construct import ConstructionOptions, construct_matrix
-from .dense import format_matrix, parse_matrix
+from .dense import _first_occurrence_codes, format_matrix, parse_matrix
 from .errors import FormatError, InfeasibleError, ResourceLimitError, ShapeError
 from .scalars import format_scalar, parse_scalar
 from .search import SearchOptions, find_hadamard_column_sets, verify_column_set
@@ -42,7 +42,8 @@ def _read_text(path: str) -> str:
 
 
 def _parse_targets(text: str) -> list:
-    tokens = [t for t in text.replace(",", " ").split() if t]
+    data = text.replace(",", " ").encode("utf-8", "surrogatepass")
+    tokens = [raw.decode("utf-8", "surrogatepass") for raw in data.split()]  # ASCII whitespace only
     if not tokens:
         raise FormatError("empty target list")
     return [parse_scalar(tok) for tok in tokens]
@@ -117,10 +118,12 @@ def _load_weight_vector(path: str) -> RepresentationVector:
             raise FormatError(f'{path}: a weight record needs an integer "m" and a list "v"')
         values = [_rational(v, f'{path}: "v" entry') for v in entries]
         return RepresentationVector(m, tuple(values))
-    tokens = text.split()
+    tokens = text.encode("utf-8", "surrogatepass").split()  # at ASCII whitespace only
     if not tokens:
         raise FormatError(f"{path}: empty weight vector")
-    values = [_rational(tok, f"{path}: weight") for tok in tokens]
+    code, codes = _first_occurrence_codes(tokens)
+    distinct = [_rational(raw.decode("utf-8", "surrogatepass"), f"{path}: weight") for raw in code]
+    values = list(map(distinct.__getitem__, codes.tolist()))
     n = len(values)
     if n & (n - 1):
         raise FormatError(f"{path}: length {n} is not a power of two")

@@ -27,7 +27,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FormatError
-from .scalars import _finite_float, format_scalar, parse_scalar
+from .scalars import (
+    SqrtRational,
+    _build_scalar,
+    _finite_float,
+    _grammar_parts,
+    _signed_squares,
+    format_scalar,
+    parse_scalar,
+)
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -40,9 +48,15 @@ class DenseMatrix:
     distinct scale, so readers of the matrix work per distinct entry and
     index the codes.  `entries`, the row tuples, is a view derived on first
     use; `==` and `hash` compare it and `is_exact`.
+
+    An exact matrix also has a private table `_squares`: the sign (0 for
+    zero) and the square, as an integer pair in lowest terms, of each
+    distinct entry, which is all that factoring reads.  A parsed exact
+    matrix holds that table, its distinct tokens and their integers, and
+    builds its distinct entries, `_distinct`, the first time they are
+    read; any other matrix derives the table from its entries.
     """
 
-    _distinct: tuple
     _codes: np.ndarray
     is_exact: bool
 
@@ -57,7 +71,7 @@ class DenseMatrix:
         ids = list(map(id, flat))
         _, codes = _first_occurrence_codes(ids)
         distinct = tuple(dict(zip(ids, flat)).values())
-        self._set(distinct, codes.reshape(len(entries), width), is_exact)
+        self._set(codes.reshape(len(entries), width), is_exact, _distinct=distinct)
 
     @classmethod
     def _of_codes(cls, distinct: tuple, codes: np.ndarray, is_exact: bool = True) -> DenseMatrix:
@@ -68,12 +82,51 @@ class DenseMatrix:
         in row-major order, so that a matrix has one coded form.
         """
         self = cls.__new__(cls)
-        self._set(distinct, codes, is_exact)
+        self._set(codes, is_exact, _distinct=distinct)
         return self
 
-    def _set(self, distinct: tuple, codes: np.ndarray, is_exact: bool) -> None:
+    @classmethod
+    def _of_tokens(cls, tokens: list[bytes], parts: list, codes: np.ndarray) -> DenseMatrix:
+        """The exact matrix of grammar tokens, unchecked; _distinct is built when read.
+
+        tokens are the distinct tokens, as UTF-8 bytes, and parts their
+        scalars._grammar_parts; codes is as for _of_codes.
+        """
+        self = cls.__new__(cls)
+        self._set(codes, True, _tokens=tokens, _parts=parts, _squares=_signed_squares(parts))
+        return self
+
+    def _set(self, codes: np.ndarray, is_exact: bool, **stored) -> None:
         codes.flags.writeable = False
-        self.__dict__.update(_distinct=distinct, _codes=codes, is_exact=is_exact)
+        self.__dict__.update(stored, _codes=codes, is_exact=is_exact)
+
+    @cached_property
+    def _distinct(self) -> tuple:
+        """The distinct entries of a parsed exact matrix, one object per distinct token.
+
+        Each unsigned token text is built once, in first-occurrence order,
+        and a token "-x" is the negation of x's object.
+        """
+        built: dict[bytes, object] = {}
+        values = []
+        for token, (negative, root, p, q) in zip(self._tokens, self._parts):
+            base = token[1:] if negative else token
+            if base not in built:
+                built[base] = _build_scalar(False, root, p, q)
+            values.append(-built[base] if negative else built[base])
+        return tuple(values)
+
+    @cached_property
+    def _squares(self) -> tuple[tuple[int, tuple[int, int]], ...]:
+        """(sign, square in lowest terms) of each distinct exact entry, from its value."""
+        table = []
+        for entry in self._distinct:
+            if isinstance(entry, SqrtRational):
+                table.append((entry.sign, entry.square.as_integer_ratio()))
+            else:
+                p, q = entry.as_integer_ratio()
+                table.append(((p > 0) - (p < 0), (p * p, q * q)))
+        return tuple(table)
 
     @cached_property
     def entries(self) -> tuple[tuple, ...]:
@@ -140,19 +193,24 @@ def format_matrix(matrix: DenseMatrix) -> str:
 
 
 def parse_matrix(text: str, *, exact: bool = False) -> DenseMatrix:
-    """Parse the shared text format into its distinct values and their codes.
+    """Parse the shared text format into its distinct tokens and their codes.
 
-    The matrix is exact unless a token is a decimal literal, in which case
-    every parsed value is converted to a finite float.  With `exact` set, a
-    decimal literal is an error instead.  The rows are read into one
-    row-major token list.  Each distinct token gets one code, in order of
-    first occurrence, and one value; the codes are one pass over the list.
-    A token ``-x``, where x has no sign of its own, is the negation of x's
-    exact value (x is parsed if it is not yet known), taken before any
-    float conversion, so ``-0`` in a float matrix is 0.0.  So a file of
-    scaled sign columns costs about one parse per distinct scale, not one
-    per entry.  Token errors name the line of the first bad token in
-    row-major order, with the message of the token as written.
+    The rows are read into one row-major token list, and each distinct
+    token gets one code, in order of first occurrence.  The distinct tokens
+    are then matched against the grammar in one call.  When every one is a
+    grammar token, the matrix is exact and no value is built: the matrix
+    keeps each distinct token's integers and its sign and square in lowest
+    terms, which is all factoring reads, and builds the values the first
+    time its entries are read.
+
+    Otherwise each distinct token is parsed once.  The matrix is exact
+    unless a token is a decimal literal, in which case every parsed value
+    is converted to a finite float; with `exact` set, a decimal literal is
+    an error instead.  A token ``-x``, where x has no sign of its own, is
+    the negation of x's exact value (x is parsed if it is not yet known),
+    taken before any float conversion, so ``-0`` in a float matrix is 0.0.
+    Token errors name the line of the first bad token in row-major order,
+    with the message of the token as written.
     """
     # Split as bytes: bytes.split() breaks at ASCII whitespace only.
     data = text.encode("utf-8", "surrogatepass")
@@ -181,16 +239,22 @@ def parse_matrix(text: str, *, exact: bool = False) -> DenseMatrix:
         tokens += row_tokens
 
     code, codes = _first_occurrence_codes(tokens)
-    distinct = [raw.decode("utf-8", "surrogatepass") for raw in code]
-    values: list = []
-    parsed: dict[str, object] = {}  # token -> value, the bases of "-x" included
+    codes = codes.reshape(n_rows, n_cols)
+    distinct = list(code)
+    token_parts = _grammar_parts(distinct)
+    if token_parts is not None:
+        return DenseMatrix._of_tokens(distinct, token_parts, codes)
 
-    def value_of(tok: str):
-        if tok not in parsed:
-            parsed[tok] = parse_scalar(tok, exact=exact)
-        return parsed[tok]
-
+    distinct = [raw.decode("utf-8", "surrogatepass") for raw in distinct]
     try:
+        values: list = []
+        parsed: dict[str, object] = {}  # token -> value, the bases of "-x" included
+
+        def value_of(tok: str):
+            if tok not in parsed:
+                parsed[tok] = parse_scalar(tok, exact=exact)
+            return parsed[tok]
+
         for tok in distinct:
             base = tok[1:] if tok[0] == "-" else ""
             if base and base[0] not in "+-":
@@ -208,4 +272,4 @@ def parse_matrix(text: str, *, exact: bool = False) -> DenseMatrix:
     except FormatError as exc:
         line_no = body[tokens.index(tok.encode("utf-8", "surrogatepass")) // n_cols][0]
         raise FormatError(f"line {line_no}: {exc}") from None
-    return DenseMatrix._of_codes(tuple(values), codes.reshape(n_rows, n_cols), is_exact)
+    return DenseMatrix._of_codes(tuple(values), codes, is_exact)

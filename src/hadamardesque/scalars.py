@@ -24,7 +24,10 @@ from .errors import FormatError
 
 # Groups: sign, "sqrt(" (which then requires the closing parenthesis), p, q.
 # Matched with fullmatch: `$` would also match before a trailing newline.
-_TOKEN_RE = re.compile(r"([+-]?)(sqrt\()?(\d+)(?:/(\d+))?(?(2)\))", re.ASCII)
+_TOKEN = r"([+-]?)(sqrt\()?(\d+)(?:/(\d+))?(?(2)\))"
+_TOKEN_RE = re.compile(_TOKEN, re.ASCII)
+# The same grammar over UTF-8 bytes, one token per line, for many tokens at once.
+_TOKEN_LINES_RE = re.compile(f"^{_TOKEN}$".encode(), re.MULTILINE)
 
 
 def _exact_sqrt(value: Fraction) -> Fraction | None:
@@ -238,15 +241,53 @@ def parse_scalar(token: str, *, exact: bool = True):
         return _finite_float(value, token)
     sign, root, num, den = match.groups()
     try:
-        value = Fraction(int(num)) if den is None else Fraction(int(num), int(den))
-    except ZeroDivisionError:
-        raise FormatError(f"zero denominator in token {token!r}") from None
+        p, q = int(num), 1 if den is None else int(den)
     except ValueError:  # past the interpreter's int-string digit limit
         digits = len(num) + len(den or "")
         raise FormatError(f"token {token[:20]!r}... with {digits} digits is too long") from None
+    if q == 0:
+        raise FormatError(f"zero denominator in token {token!r}")
+    return _build_scalar(sign == "-", root is not None, p, q)
+
+
+def _build_scalar(negative: bool, root: bool, p: int, q: int):
+    """The value of the grammar token with these parts: a Fraction, or a SqrtRational."""
+    value = Fraction(p, q)
     if root:
         value = SqrtRational.sqrt(value)
-    return -value if sign == "-" else value
+    return -value if negative else value
+
+
+def _grammar_parts(tokens: list[bytes]) -> list[tuple[bool, bool, int, int]] | None:
+    """(negative, root, p, q) of every token, or None unless parse_scalar reads each without error.
+
+    The tokens are UTF-8 bytes free of ASCII whitespace, as bytes.split()
+    leaves them.  They are matched in one call, one token per line: every
+    line matches exactly when there are as many matches as tokens.  None
+    leaves it to parse_scalar to refuse the first bad token.
+    """
+    found = _TOKEN_LINES_RE.findall(b"\n".join(tokens))
+    if len(found) != len(tokens):
+        return None
+    try:
+        parts = [(sign == b"-", root != b"", int(num), int(den) if den else 1)
+                 for sign, root, num, den in found]
+    except ValueError:  # past the interpreter's int-string digit limit
+        return None
+    return parts if all(q for _, _, _, q in parts) else None
+
+
+def _signed_squares(parts: list[tuple[bool, bool, int, int]]) -> tuple[tuple[int, tuple[int, int]], ...]:
+    """Sign (0 for zero) and square, in lowest terms, of each token with these parts.
+
+    The square of sqrt(p/q) is p/q, and that of p/q is p^2/q^2.
+    """
+    table = []
+    for negative, root, p, q in parts:
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+        table.append(((-1 if negative else 1) if p else 0, (p, q) if root else (p * p, q * q)))
+    return tuple(table)
 
 
 def _finite_float(value, token: str) -> float:

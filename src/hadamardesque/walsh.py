@@ -103,10 +103,19 @@ def _sign_block(m: int, indices: Sequence[int]) -> np.ndarray:
 
 
 def _pair_block(m: int, indices: Sequence[int]) -> np.ndarray:
-    """int8 pair-product rows, in pair_index order, of truth columns `indices`."""
+    """int8 pair-product rows, in pair_index order, of truth columns `indices`.
+
+    The pairs (i, j) of one later row j are consecutive, so each run of
+    them is multiplied in place by row j: the result is the only array of
+    its size.
+    """
     block = _sign_block(m, indices)
-    later, earlier = np.tril_indices(m, -1)
-    return block[earlier] * block[later]
+    _, earlier = np.tril_indices(m, -1)
+    out = block[earlier]
+    for j in range(1, m):
+        start = j * (j - 1) // 2
+        out[start:start + j] *= block[j]
+    return out
 
 
 def truth_table(m: int) -> DenseMatrix:

@@ -8,6 +8,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -420,6 +421,60 @@ def test_non_ascii_separators_are_input_errors(capsys, tmp_path, text, message):
     path = tmp_path / "separators.txt"
     path.write_text(text, encoding="utf-8")
     assert run(capsys, "crv", str(path)) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("separator", ["\u00a0", "\u2028"], ids=["no-break-space", "line-separator"])
+def test_weight_and_target_tokens_split_at_ascii_whitespace_only(capsys, tmp_path, separator):
+    # str.split() breaks at these, reading two weights and three targets; the grammar does not.
+    path = tmp_path / "v.txt"
+    path.write_text(f"1{separator}1\n", encoding="utf-8")
+    code, out, err = run(capsys, "in-span", str(path))
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    code, out, err = run(capsys, "construct", "3", f"1{separator}0 0")
+    assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+def test_weight_file_tokens_are_parsed_once_each(capsys, tmp_path, monkeypatch):
+    import hadamardesque.cli as cli
+
+    calls = []
+    real = cli._rational
+    monkeypatch.setattr(cli, "_rational", lambda value, what: calls.append(value) or real(value, what))
+    path = tmp_path / "v.txt"
+    path.write_text("1 1/2\n1/2 1\t1 1/2 1/2 1\n")
+    code, out, _ = run(capsys, "in-span", str(path))
+    assert code == 0 and out.startswith("false\n")
+    assert calls == ["1", "1/2"]
+
+
+@pytest.mark.parametrize("command", ["crv", "dots"])
+def test_factoring_a_grammar_file_builds_no_value_per_distinct_token(capsys, tmp_path, command):
+    # 2 x 200 columns of distinct scales: 400 distinct tokens, 800 entries.
+    scales = [f"sqrt({k}/{k + 1})" if k % 2 else f"{k}/{k + 2}" for k in range(1, 201)]
+    path = tmp_path / "scaled.txt"
+    path.write_text(f"2 200\n{' '.join(scales)}\n{' '.join('-' + s for s in scales)}\n")
+    counts = {"Fraction": 0, "SqrtRational": 0}
+    root = hadamardesque.SqrtRational
+    fraction_new, root_init, root_make = Fraction.__new__, root.__init__, root._make.__func__
+
+    def counted_fraction(cls, *args, **kwargs):
+        counts["Fraction"] += 1
+        return fraction_new(cls, *args, **kwargs)
+
+    def counted_root(make):
+        def counted(*args):
+            counts["SqrtRational"] += 1
+            return make(*args)
+        return counted
+
+    # Every SqrtRational is made by __init__ or _make.
+    with mock.patch.object(Fraction, "__new__", counted_fraction), \
+            mock.patch.object(root, "__init__", counted_root(root_init)), \
+            mock.patch.object(root, "_make", classmethod(counted_root(root_make))):
+        code, out, _ = run(capsys, command, str(path))
+    assert code == 0 and out
+    # crv prints 2 weights and dots 1 pair sum; a few Fractions make them.
+    assert counts["SqrtRational"] == 0 and counts["Fraction"] < 20, counts
 
 
 def test_crlf_matrix_file_parses(capsys, tmp_path, example_file):

@@ -90,14 +90,14 @@ def test_accessors():
 
 
 def _counting(monkeypatch, name):
-    """Patch hadamardesque.dense.<name> with a wrapper that counts its calls."""
+    """Patch hadamardesque.dense.<name> with a wrapper that records its arguments."""
     import hadamardesque.dense as dense
 
     calls = []
     real = getattr(dense, name)
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(dense, name, counted)
@@ -109,21 +109,33 @@ def test_parse_work_is_one_call_per_distinct_token(monkeypatch, exact):
     rows = [["3/4", "-3/4", "sqrt(2)", "3/4"], ["-3/4", "3/4", "-sqrt(2)", "6/8"],
             ["sqrt(2)", "sqrt(2)", "-sqrt(2)", "-3/4"]]
     text = "3 4\n" + "".join(" ".join(row) + "\n" for row in rows)
-    calls = _counting(monkeypatch, "parse_scalar")
+    parses = _counting(monkeypatch, "parse_scalar")
+    builds = _counting(monkeypatch, "_build_scalar")
     matrix = parse_matrix(text, exact=exact)
-    # 12 entries, 5 distinct tokens; "-x" negates the parse of x, in first-occurrence order.
-    assert calls == ["3/4", "sqrt(2)", "6/8"]
-    assert matrix.entries[0][0] is matrix.entries[1][1] is matrix.entries[0][3]
-    assert matrix.entries[0][1] is matrix.entries[1][0] is matrix.entries[2][3]
-    assert matrix.entries[0][1] == -matrix.entries[0][0]
-    assert matrix.entries[0][0] == matrix.entries[1][3]  # "6/8" is its own token
+    # 12 entries, 5 distinct tokens: parsing keeps their integers and builds no value.
+    assert parses == builds == []
+    assert matrix._squares == ((1, (9, 16)), (-1, (9, 16)), (1, (2, 1)), (-1, (2, 1)), (1, (9, 16)))
+    entries = matrix.entries
+    # Reading builds each unsigned token once, in first-occurrence order; "-x" negates x's value.
+    assert builds == [(False, False, 3, 4), (False, True, 2, 1), (False, False, 6, 8)]
+    assert parses == []
+    assert entries[0][0] is entries[1][1] is entries[0][3]
+    assert entries[0][1] is entries[1][0] is entries[2][3]
+    assert entries[0][1] == -entries[0][0]
+    assert entries[0][0] == entries[1][3]  # "6/8" is its own token
+    assert entries[0][0] is not entries[1][3]
+    format_matrix(matrix)
+    assert len(builds) == 3
 
 
 def test_negated_token_parses_its_unsigned_part_once_when_it_comes_first(monkeypatch):
-    calls = _counting(monkeypatch, "parse_scalar")
+    builds = _counting(monkeypatch, "_build_scalar")
     matrix = parse_matrix("2 2\n-5 -sqrt(3)\n5 +5\n")
-    assert calls == ["5", "sqrt(3)", "+5"]  # "5" is parsed for "-5", then reused
+    assert builds == []
     assert matrix.entries == ((-5, -SqrtRational.sqrt(3)), (5, 5))
+    # "5" is built for "-5", then reused; "+5" is a token of its own.
+    assert builds == [(False, False, 5, 1), (False, True, 3, 1), (False, False, 5, 1)]
+    assert matrix.entries[1][0] is not matrix.entries[1][1]
 
 
 def test_auto_float_conversion_is_one_call_per_distinct_token(monkeypatch):

@@ -18,7 +18,7 @@ from oracles import (
     parse_by_token,
     truth_by_recursion,
 )
-from hadamardesque import walsh
+from hadamardesque import dense, walsh
 from hadamardesque import (
     ConstructionOptions,
     DenseMatrix,
@@ -38,6 +38,7 @@ from hadamardesque import (
     pair_count,
     pairwise_dots,
     parse_matrix,
+    parse_scalar,
     realize_canonical,
     same_pairwise_dots,
     to_hadamardesque,
@@ -372,8 +373,8 @@ SIGNS = ("", "", "", "-", "-", "-", "-", "+", "-+", "--")
 def _outcome(function, *args, **kwargs):
     try:
         return function(*args, **kwargs)
-    except FormatError as exc:
-        return f"FormatError: {exc}"
+    except (FormatError, ShapeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 @st.composite
@@ -405,3 +406,54 @@ def test_parse_matches_the_token_by_token_oracle(text, exact):
             assert math.copysign(1, got) == math.copysign(1, want)
     assert parsed == expected and hash(parsed) == hash(expected)
     assert _outcome(format_matrix, parsed) == _outcome(format_by_id, expected)
+
+
+# Unsigned grammar bodies: zeros, unreduced fractions and radicands, perfect squares.
+EXACT_BODIES = ("0", "1", "3", "2/4", "3/6", "5/3", "sqrt(0)", "sqrt(2)", "sqrt(8/2)",
+                "sqrt(4/9)", "sqrt(3/4)", "sqrt(6/8)", "12/9")
+
+
+@st.composite
+def grammar_grids(draw):
+    """Matrix text of grammar tokens: a few bodies under "", "+" and "-" signs."""
+    bodies = draw(st.lists(st.sampled_from(EXACT_BODIES), min_size=1, max_size=4))
+    palette = [sign + body for body in bodies for sign in ("", "+", "-")]
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    grid = [[draw(st.sampled_from(palette)) for _ in range(cols)] for _ in range(rows)]
+    return grid, f"{rows} {cols}\n" + "".join(" ".join(row) + "\n" for row in grid)
+
+
+def _fresh(entry):
+    """An equal scalar in a new object."""
+    if isinstance(entry, SqrtRational):
+        return SqrtRational(entry)
+    return Fraction(entry.numerator, entry.denominator)
+
+
+@settings(deadline=None, max_examples=300)
+@given(grammar_grids())
+def test_parsed_grammar_matrices_factor_from_their_token_integers(drawn):
+    grid, text = drawn
+    # Factoring a parsed grammar matrix builds no scalar value.
+    with mock.patch.object(dense, "_build_scalar", side_effect=AssertionError("built")), \
+            mock.patch.object(dense, "parse_scalar", side_effect=AssertionError("parsed")):
+        parsed = parse_matrix(text, exact=True)
+        factored = _outcome(factor_columns, parsed)
+    assert "_distinct" not in parsed.__dict__
+    # Reading builds each unsigned token once: "-x" negates the object built for x.
+    with mock.patch.object(dense, "_build_scalar", wraps=dense._build_scalar) as build:
+        entries = parsed.entries
+    assert build.call_count == len({t.removeprefix("-") for row in grid for t in row})
+    rebuilt = DenseMatrix(tuple(tuple(map(_fresh, row)) for row in entries))
+    assert factored == _outcome(factor_columns, rebuilt)
+    # The entries are the token-by-token values, one object per distinct token.
+    by_token = {}
+    for tokens, row in zip(grid, entries):
+        for token, entry in zip(tokens, row):
+            want = parse_scalar(token)
+            assert type(entry) is type(want) and entry == want
+            assert by_token.setdefault(token, entry) is entry
+    assert len({id(e) for e in by_token.values()}) == len(by_token)
+    for token, entry in by_token.items():
+        if "-" + token in by_token:
+            assert by_token["-" + token] == -entry

@@ -1,5 +1,6 @@
 import ast
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from hadamardesque import (
     to_hadamardesque,
     truth_table,
 )
-from hadamardesque.walsh import _check_entries
+from hadamardesque.walsh import _check_entries, _pair_block, _sign_block
 
 
 # --- Sylvester matrices ----------------------------------------------------
@@ -438,3 +439,16 @@ def test_fwht_rejects_inexact_entries():
     with pytest.raises(TypeError):
         fwht([Fraction(1), 0.5])
 
+
+def test_pair_block_peaks_at_about_its_result():
+    indices = range(1, 2**15 + 1)
+    tracemalloc.start()
+    try:
+        block = _pair_block(16, indices)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * block.nbytes
+    later, earlier = np.tril_indices(16, -1)
+    signs = _sign_block(16, indices)
+    assert np.array_equal(block, signs[earlier] * signs[later])
