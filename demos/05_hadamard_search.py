@@ -5,7 +5,8 @@ sign columns whose 0/1 weight vector kills every pair-product row -- a
 lattice point with m ones.  The engine backtracks over ascending column
 indices, counting for every row pair the chosen columns on which its two
 rows agree and those on which they disagree; a branch dies as soon as
-either count would pass m/2.
+either count would pass m/2.  It walks only the sets holding the all-ones
+column and emits the rest as their row negations.
 """
 
 from hadamardesque import (
@@ -36,6 +37,13 @@ report = find_hadamard_column_sets(8, limit=1)
 (solution,) = report.solutions
 print(f"  found {solution} after {report.nodes} nodes in {report.elapsed:.2f}s")
 print(f"  verify_column_set: {verify_column_set(8, solution)}")
+
+print("\nOrder 8, exhaustive: the walk finds the sets holding the all-ones column,")
+print("and an unnormalized run also emits their row-negation translates.")
+normalized = find_hadamard_column_sets(8, options=SearchOptions(force_first_column=True))
+everything = find_hadamard_column_sets(8)
+print(f"  normalized: {len(normalized.solutions)} sets, unnormalized: {len(everything.solutions)}"
+      f" sets (= {len(normalized.solutions)} * 2^7 / 8), both after {everything.nodes} nodes")
 
 print("\nSame search, normalized to force the all-ones column:")
 report = find_hadamard_column_sets(8, limit=1, options=SearchOptions(force_first_column=True))

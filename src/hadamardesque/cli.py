@@ -254,7 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.add_argument("--limit", type=int, default=None, help="stop after this many solutions")
     p.add_argument("--time-limit", type=float, default=None, help="seconds")
-    p.add_argument("--node-limit", type=int, default=None)
+    p.add_argument("--node-limit", type=int, default=None,
+                   help="stop after this many nodes of the walk over sets holding the "
+                        "all-ones column, which every run takes")
     p.add_argument("--normalize", action="store_true",
                    help="force the all-ones column into every solution")
     p.add_argument("--json", action="store_true")

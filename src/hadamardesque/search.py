@@ -11,9 +11,31 @@ pairs, the chosen columns whose product on it is +1 and those where it is
 no odd order ever leaves the root.  This is the pair-sum bound: with k
 columns chosen, r = m - k to go and pair sum s = plus - minus, where
 plus + minus = k, s <= r holds exactly when plus <= m/2 and s >= -r exactly
-when minus <= m/2.  Optionally the all-ones column can be forced into every
-solution: negating the rows where any chosen column is negative (then
-renormalising column signs) maps solutions onto solutions containing it.
+when minus <= m/2.
+
+The walk finds only *normalized* sets, those holding the all-ones column 1,
+and every other set is emitted as a translate of one of them.  Write a
+column as its pattern c - 1, whose bit k-2 is set when row k is negative
+(row 1 is always +1).  The translate of a set N by a pattern x is
+T_x(N) = {((c - 1) XOR x) + 1 : c in N}.  Two rules make this exact:
+
+- XOR by x negates the rows in x.  Bit k-2 of (c - 1) XOR x differs from
+  that of c - 1 exactly when bit k-2 of x is set, so T_x(N) is N with rows
+  k of x's bits negated, and row 1 stays +1.  A row negation D (diagonal
+  +-1) keeps D H (D H)^T = D (m I) D = m I, so translates of solutions are
+  solutions.  T_x T_y = T_(x XOR y), and T_x(N) holds pattern x, the image
+  of N's pattern 0.  So a solution S equals T_x(N) with N = T_x(S)
+  normalized exactly when x is in S, and S comes from exactly one pair
+  (N, x) with x = min S = min T_x(N).
+- p XOR x < x exactly when x holds p's top bit (p > 0): p XOR x and x
+  differ in p's bits only, and the highest of them is p's top bit.  So
+  x = min T_x(N) exactly when x & H == 0, where H is the OR of the top bits
+  of N's nonzero patterns.
+
+An unnormalized run therefore emits, for each normalized set N as the walk
+finds it, T_x(N) for every x with x & H == 0 in ascending order (x = 0 is N
+itself), and emits every solution once.  The node count and node_limit
+count the normalized walk in both modes.
 
 The counts are byte lanes of one Python int: plus lane p is byte p and
 minus lane p is byte P + p, pairs in pair_index order.  Every lane starts
@@ -34,6 +56,12 @@ The masks are built once per run from the pair-sign table, and a column's
 lane increment, its *step*, the first time the walk reaches that column.
 A child's lanes are its parent's plus its column's step, and a set of m
 columns is a solution exactly when every lane reads 128.
+
+The room bound counts survivors.  A node with r columns to go visits its
+next candidate only while at least r candidates are left, that one
+included: a child must take its r - 1 columns from the survivors above
+its own column, and the child's survivors are a subset of those.  The
+same check ends a node with fewer than r survivors.
 
 The search is one sequential depth-first walk from the root under one set
 of budgets, so partial runs are deterministic too: every run visits the same
@@ -74,6 +102,14 @@ class SearchOptions:
 
 @dataclass(frozen=True)
 class SearchReport:
+    """The outcome of one search run.
+
+    `solutions` lists the sets in emission order.  `nodes` counts the
+    normalized walk, which an unnormalized run also takes: it emits each
+    normalized set's translates as the walk finds it, so `nodes` and the
+    node limit mean the same walk whether `normalized` is set or not.
+    """
+
     m: int
     solutions: tuple[tuple[int, ...], ...]
     nodes: int
@@ -114,6 +150,7 @@ class _Run:
     """Node count, solutions, budgets and solution callback of one search run."""
 
     m: int
+    normalized: bool
     node_limit: int | None
     deadline: float | None
     solution_limit: int | None
@@ -130,14 +167,32 @@ class _Run:
             raise _Stop("time")
         self.nodes += 1
 
-    def emit(self, chosen: tuple[int, ...]):
-        if not verify_column_set(self.m, chosen):
-            raise RuntimeError(f"engine emitted a non-solution {chosen} for m={self.m}")
-        self.solutions.append(chosen)
-        if self.on_solution is not None:
-            self.on_solution(chosen)
-        if self.solution_limit is not None and len(self.solutions) >= self.solution_limit:
-            raise _Stop("solutions")
+    def emit(self, found: tuple[int, ...]):
+        """Report the normalized set `found` and, unless normalized, its translates.
+
+        The translates are T_x(found) for the x sharing no bit with the top
+        bits of found's patterns, in ascending order (see the module
+        docstring); x = 0 is `found` itself.
+        """
+        free = 0
+        if not self.normalized:
+            top_bits = 0
+            for c in found[1:]:  # found[0] is column 1, pattern 0
+                top_bits |= 1 << (c - 1).bit_length() - 1
+            free = ((1 << self.m - 1) - 1) ^ top_bits
+        x = 0
+        while True:
+            chosen = tuple(sorted(((c - 1) ^ x) + 1 for c in found))
+            if not verify_column_set(self.m, chosen):
+                raise RuntimeError(f"engine emitted a non-solution {chosen} for m={self.m}")
+            self.solutions.append(chosen)
+            if self.on_solution is not None:
+                self.on_solution(chosen)
+            if self.solution_limit is not None and len(self.solutions) >= self.solution_limit:
+                raise _Stop("solutions")
+            x = (x - free) & free  # the next submask of free, ascending
+            if x == 0:
+                return
 
 
 _MINUS_LANE = bytes.maketrans(b"\x01\xff", b"\x00\x01")  # int8 product +1 -> 0, -1 -> 1
@@ -185,9 +240,9 @@ def _dfs(lanes: _Lanes, chosen: tuple[int, ...], state: int, saturated: int, can
     node's test when it adds to no saturated lane.  The lanes saturated at
     the parent were ANDed in above it, so only those saturated here and not
     there cost one AND each, and the ANDs stop once no candidate is left.
-    Columns are then visited in ascending order up to the last one leaving
-    room for the rest.  At a leaf every count is m/2 exactly when `state`
-    is the lanes' high mask.
+    Survivors are then visited in ascending order while at least
+    `remaining` of them are left.  At a leaf every count is m/2 exactly
+    when `state` is the lanes' high mask.
     """
     high = lanes.high
     if remaining == 0:
@@ -201,13 +256,12 @@ def _dfs(lanes: _Lanes, chosen: tuple[int, ...], state: int, saturated: int, can
     while p >= 0 and candidates:
         candidates &= masks[p]
         p = row.find(128, p + 1)
-    hi = lanes.n_columns - remaining + 1  # last index leaving room for the rest
-    while candidates:
+    left = candidates.bit_count()
+    while left >= remaining:
         low = candidates & -candidates
         j = low.bit_length()
-        if j > hi:
-            return
         candidates ^= low
+        left -= 1
         run.visit()
         _dfs(lanes, chosen + (j,), state + lanes[j], now, candidates, remaining - 1, run)
 
@@ -217,9 +271,13 @@ def find_hadamard_column_sets(m: int, limit: int | None = None,
                               on_solution=None) -> SearchReport:
     """Stream all m-subsets of truth columns that form a Hadamard matrix.
 
-    Every solution is triple-checked as soon as it is found, then handed to
-    `on_solution`: its count lanes all read m/2, verify_column_set's pair
-    sums vanish, and its dense matrix passes the direct Hadamard test.  The
+    The walk finds the sets holding the all-ones column; unless
+    `force_first_column` is set, each is followed by its row-negation
+    translates, so every solution is emitted once.  Every solution is
+    triple-checked as soon as it is found, then handed to `on_solution`:
+    the count lanes of the normalized set it comes from all read m/2,
+    verify_column_set's pair sums vanish, and its dense matrix passes the
+    direct Hadamard test.  The
     report says whether the tree was fully explored and which budget (if
     any) cut the run short.  Odd orders end at the root; even orders whose
     pair-sign table exceeds ENGINE_TABLE_BUDGET (m >= 22) raise
@@ -232,19 +290,16 @@ def find_hadamard_column_sets(m: int, limit: int | None = None,
         raise ValueError(f"solution limit must be >= 1, got {limit}")
     started = time.monotonic()
     deadline = None if opts.time_limit is None else started + opts.time_limit
-    run = _Run(m, opts.node_limit, deadline, limit, on_solution)
+    run = _Run(m, opts.force_first_column, opts.node_limit, deadline, limit, on_solution)
     reason = None
     # Parity of the final pair sums equals the parity of m: odd orders are
     # exhausted at the root without expanding anything.
     if m % 2 == 0:
         lanes = _Lanes(m, pair_sign_table(m))
-        everything = (1 << lanes.n_columns) - 1
+        above_one = (1 << lanes.n_columns) - 2  # every column but column 1
         try:
-            if opts.force_first_column:
-                run.visit()
-                _dfs(lanes, (1,), lanes.start + lanes[1], 0, everything - 1, m - 1, run)
-            else:
-                _dfs(lanes, (), lanes.start, 0, everything, m, run)
+            run.visit()
+            _dfs(lanes, (1,), lanes.start + lanes[1], 0, above_one, m - 1, run)
         except _Stop as stop:
             reason = stop.args[0]
 

@@ -118,24 +118,30 @@ def brute_force_column_sets(m: int, chunk: int = 200_000):
 def search_walk(m: int, force_first_column: bool = False, node_limit: int | None = None):
     """The search engine's walk, by a literal pure-Python DFS (even m only).
 
-    Columns of the recursion-built truth table are chosen in ascending
+    Column 1 (all ones) is forced in both modes and is the first node.
+    Columns of the recursion-built truth table are then chosen in ascending
     order.  With r columns still to choose, a column is admitted when every
-    row-pair sum stays within r - 1 after adding its products, and only up
-    to the last column that leaves room for the rest.  Each admitted column
-    is one node, counted before it is expanded; a forced all-ones column is
-    the first node.  At most node_limit nodes are visited.
+    row-pair sum stays within r - 1 after adding its products, and admitted
+    columns are taken in ascending order only while at least r of them are
+    left, the current one included.  Each taken column is one node, counted
+    before it is expanded.  At most node_limit nodes are visited.
+
+    Without force_first_column, every set the walk finds is followed by its
+    translates: for each of the 2^(m-1) sign vectors d with d[0] = +1, in
+    ascending order of the index of the truth column d, the set whose
+    columns are d times the found ones, kept when column d is its smallest.
 
     Returns (walk, emitted): the chosen-column tuple of every node in visit
     order, and (solution, nodes visited when it was found) for every
-    solution.
+    emitted solution.
     """
     assert m % 2 == 0
     truth = truth_by_recursion(m)
+    columns = list(zip(*truth))
+    index_of = {col: c for c, col in enumerate(columns, start=1)}
     pairs = [(i, j) for j in range(1, m) for i in range(j)]
-    products = [None] + [
-        tuple(truth[i][c] * truth[j][c] for i, j in pairs) for c in range(len(truth[0]))
-    ]
-    n_cols = len(truth[0])
+    products = [None] + [tuple(col[i] * col[j] for i, j in pairs) for col in columns]
+    n_cols = len(columns)
     walk, emitted = [], []
 
     class Stop(Exception):
@@ -146,23 +152,34 @@ def search_walk(m: int, force_first_column: bool = False, node_limit: int | None
             raise Stop
         walk.append(chosen)
 
+    def emit(found):
+        if force_first_column:
+            emitted.append((found, len(walk)))
+            return
+        for d in columns:
+            translate = sorted(index_of[tuple(a * b for a, b in zip(d, columns[c - 1]))]
+                               for c in found)
+            if translate[0] == index_of[d]:
+                emitted.append((tuple(translate), len(walk)))
+
     def expand(chosen, sums, start, remaining):
         if remaining == 0:
             if not any(sums):
-                emitted.append((chosen, len(walk)))
+                emit(chosen)
             return
-        for c in range(start, n_cols - remaining + 2):
-            if all(abs(s + t) <= remaining - 1 for s, t in zip(sums, products[c])):
-                after = [s + t for s, t in zip(sums, products[c])]
-                visit(chosen + (c,))
-                expand(chosen + (c,), after, c + 1, remaining - 1)
+        admitted = [
+            c for c in range(start, n_cols + 1)
+            if all(abs(s + t) <= remaining - 1 for s, t in zip(sums, products[c]))
+        ]
+        for taken, c in enumerate(admitted):
+            if len(admitted) - taken < remaining:
+                break
+            visit(chosen + (c,))
+            expand(chosen + (c,), [s + t for s, t in zip(sums, products[c])], c + 1, remaining - 1)
 
     try:
-        if force_first_column:
-            visit((1,))
-            expand((1,), list(products[1]), 2, m - 1)
-        else:
-            expand((), [0] * len(pairs), 1, m)
+        visit((1,))
+        expand((1,), list(products[1]), 2, m - 1)
     except Stop:
         pass
     return walk, emitted

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import goldens
-from oracles import brute_force_column_sets, pair_products_by_rows, row_dots, search_walk
+from oracles import (
+    brute_force_column_sets,
+    pair_products_by_rows,
+    row_dots,
+    search_walk,
+    truth_by_recursion,
+)
 from hadamardesque import search
 from hadamardesque import (
     ResourceLimitError,
@@ -80,7 +86,7 @@ def test_solutions_stream_before_the_search_ends(monkeypatch):
     report = find_hadamard_column_sets(4, on_solution=lambda columns: seen_at.append(len(visits)))
     assert report.solutions == goldens.M4_SOLUTIONS
     assert len(seen_at) == 2
-    assert seen_at[0] < report.nodes == len(visits) == 27
+    assert seen_at[0] < report.nodes == len(visits) == 8
 
 
 def _engine_walk(monkeypatch, m, force_first_column, node_limit=None):
@@ -138,11 +144,11 @@ def test_time_limit_partial():
 @pytest.mark.parametrize(
     ("m", "fields", "nodes"),
     [
-        (4, {}, 27),
-        (4, {"force_first_column": True}, 10),
+        (4, {}, 8),
+        (4, {"force_first_column": True}, 8),
         (5, {"force_first_column": True}, 0),
-        (6, {}, 6579),
-        (6, {"force_first_column": True}, 790),
+        (6, {}, 594),
+        (6, {"force_first_column": True}, 594),
     ],
 )
 def test_exhaustive_node_counts_pinned(m, fields, nodes):
@@ -157,14 +163,14 @@ def test_exhaustive_node_counts_pinned(m, fields, nodes):
 
 
 def test_node_limit_boundary():
-    whole = find_hadamard_column_sets(6, options=SearchOptions(node_limit=6579))
+    whole = find_hadamard_column_sets(6, options=SearchOptions(node_limit=594))
     assert whole.exhaustive
     assert whole.limit_fired is None
-    assert whole.nodes == 6579
-    cut = find_hadamard_column_sets(6, options=SearchOptions(node_limit=6578))
+    assert whole.nodes == 594
+    cut = find_hadamard_column_sets(6, options=SearchOptions(node_limit=593))
     assert not cut.exhaustive
     assert cut.limit_fired == "nodes"
-    assert cut.nodes == 6578
+    assert cut.nodes == 593
 
 
 def test_node_limited_runs_repeat():
@@ -218,10 +224,34 @@ def test_pruning_reduces_nodes_without_changing_solutions():
     assert normalized.nodes <= pruned.nodes
 
 
+@pytest.mark.parametrize(("m", "normalized", "total"), [(2, 1, 1), (4, 1, 2), (8, 30, 480)])
+def test_unnormalized_count_is_normalized_count_times_translates(m, normalized, total):
+    # Every solution has m normalized translates and every normalized set
+    # 2^(m-1) translates, so |unnormalized| = |normalized| * 2^(m-1) / m.
+    everything = find_hadamard_column_sets(m)
+    first_column = find_hadamard_column_sets(m, options=SearchOptions(force_first_column=True))
+    assert everything.exhaustive and first_column.exhaustive
+    assert len(first_column.solutions) == normalized
+    assert len(everything.solutions) == total == normalized * 2 ** (m - 1) // m
+    assert everything.nodes == first_column.nodes
+    assert set(first_column.solutions) == {s for s in everything.solutions if s[0] == 1}
+    # Closed under every row negation: multiply each column by a truth column d.
+    columns = list(zip(*truth_by_recursion(m)))
+    index_of = {col: c for c, col in enumerate(columns, start=1)}
+    solutions = set(everything.solutions)
+    assert len(solutions) == total
+    for d in columns:
+        negated = [index_of[tuple(a * b for a, b in zip(d, col))] for col in columns]
+        assert {tuple(sorted(negated[c - 1] for c in s)) for s in solutions} == solutions
+    assert all(verify_column_set(m, s) for s in solutions)
+    if m == 2:
+        assert everything.solutions == ((1, 2),)
+
+
 def test_order_eight_finds_solution():
     report = find_hadamard_column_sets(8, limit=1)
     # Pinned: the walk to the first order-8 solution, node for node.
-    assert report.nodes == 569_229
+    assert report.nodes == 391_169
     assert report.solutions == ((1, 16, 52, 61, 86, 91, 103, 106),)
     assert report.limit_fired == "solutions"
     (solution,) = report.solutions
