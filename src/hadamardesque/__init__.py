@@ -41,7 +41,6 @@ from .search import (
     SearchReport,
     column_set_matrix,
     find_hadamard_column_sets,
-    pair_sign_table,
     verify_column_set,
 )
 from .walsh import (
@@ -102,7 +101,6 @@ __all__ = [
     "pair_masks",
     "pair_product_table",
     "pair_rows",
-    "pair_sign_table",
     "pair_to_mask",
     "pairwise_dots",
     "parse_matrix",

@@ -13,11 +13,19 @@ columns chosen, r = m - k to go and pair sum s = plus - minus, where
 plus + minus = k, s <= r holds exactly when plus <= m/2 and s >= -r exactly
 when minus <= m/2.
 
-The walk finds only *normalized* sets, those holding the all-ones column 1,
-and every other set is emitted as a translate of one of them.  Write a
-column as its pattern c - 1, whose bit k-2 is set when row k is negative
-(row 1 is always +1).  The translate of a set N by a pattern x is
-T_x(N) = {((c - 1) XOR x) + 1 : c in N}.  Two rules make this exact:
+Write a column as its pattern c - 1, whose bit k-2 is set when row k is
+negative (row 1 is always +1).  The walk finds only *normalized* sets,
+those holding the all-ones column 1, and their other columns are
+*balanced*: their patterns have m/2 bits set.  A square +-1 matrix H with
+H H^T = m I is invertible, with inverse H^T / m, so H^T H = m I too and its
+columns are pairwise orthogonal.  Every column other than the all-ones one
+therefore has entry sum 0, that is m/2 entries -1.  So the walk's
+candidates are the C(m-1, m/2) balanced columns: 35 of 127 at m=8, 462 of
+2,047 at m=12 and 92,378 of 524,287 at m=20.
+
+Every other set is emitted as a translate of a normalized one.  The
+translate of a set N by a pattern x is T_x(N) = {((c - 1) XOR x) + 1 :
+c in N}.  Two rules make this exact:
 
 - XOR by x negates the rows in x.  Bit k-2 of (c - 1) XOR x differs from
   that of c - 1 exactly when bit k-2 of x is set, so T_x(N) is N with rows
@@ -47,15 +55,17 @@ lane, and its high bit is set exactly when its count is m/2: the lane is
 then have product -1 (plus lane) or +1 (minus lane) on that pair.  Counts
 never fall, so a saturated lane stays saturated in every child, and a
 column that passes a child's test passed its parent's too.
-Candidates are therefore one Python-int bitset over the columns (bit j-1
-for column j): a child takes its parent's surviving bits above its own
-column and ANDs in, for each lane it newly saturated, the mask of the
-columns that leave that lane alone: ``minus[p]`` (the columns whose product
-on p is -1) for plus lane p, its complement ``plus[p]`` for minus lane p.
-The masks are built once per run from the pair-sign table, and a column's
-lane increment, its *step*, the first time the walk reaches that column.
-A child's lanes are its parent's plus its column's step, and a set of m
-columns is a solution exactly when every lane reads 128.
+Candidates are therefore one Python-int bitset over the balanced columns,
+bit j-1 standing for the j-th of them in ascending order: a child takes
+its parent's surviving bits above its own column and ANDs in, for each
+lane it newly saturated, the mask of the columns that leave that lane
+alone: ``minus[p]`` (the columns whose product on p is -1) for plus lane
+p, its complement ``plus[p]`` for minus lane p.  The masks are built once
+per run from the pair-sign table of the balanced columns, and a column's
+lane increment, its *step*, the first time the walk reaches that column;
+column 1 adds one to every plus lane.  A child's lanes are its parent's
+plus its column's step, and a set of m columns is a solution exactly when
+every lane reads 128.
 
 The room bound counts survivors.  A node with r columns to go visits its
 next candidate only while at least r candidates are left, that one
@@ -75,6 +85,7 @@ permutation.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -84,7 +95,7 @@ from .classify import is_hadamard
 from .dense import DenseMatrix, _sign_matrix
 from .walsh import _check_columns, _check_entries, _pair_block, _pair_sums, _sign_block, pair_count
 
-ENGINE_TABLE_BUDGET = 1 << 27  # pair-product table entries (int8 bytes)
+ENGINE_TABLE_BUDGET = 1 << 27  # pair-sign table entries over the balanced columns (int8 bytes)
 
 
 @dataclass(frozen=True)
@@ -135,10 +146,27 @@ def column_set_matrix(m: int, columns) -> DenseMatrix:
     return _sign_matrix(_sign_block(m, sorted(columns)) < 0)
 
 
-def pair_sign_table(m: int) -> np.ndarray:
-    """int8 table of shape (pairs, columns): the pairwise products of every column."""
-    _check_entries(f"pair-sign table of order {m}", pair_count(m), m - 1, ENGINE_TABLE_BUDGET)
-    return _pair_block(m, range(1, (1 << (m - 1)) + 1))
+def _balanced_columns(m: int) -> list[int]:
+    """The columns whose pattern has m/2 bits set, ascending, within the table budget.
+
+    Their pair-sign table has pairs * C(m-1, m/2) entries.  The central
+    binomial is the largest of the m binomials C(m-1, k), which sum to
+    2^(m-1), so the table has at least (m-1)/2 * 2^(m-1) entries.  An order
+    whose 2^(m-1) is over the budget is refused on that bound, by bit
+    length, before math.comb builds a huge int.
+    """
+    what = f"pair-sign table of order {m}"
+    if m - 1 >= ENGINE_TABLE_BUDGET.bit_length():
+        _check_entries(f"{what} (bounded below)", (m - 1) // 2, m - 1, ENGINE_TABLE_BUDGET)
+    _check_entries(what, pair_count(m) * math.comb(m - 1, m // 2), 0, ENGINE_TABLE_BUDGET)
+    # Gosper's hack: the next larger int with as many bits set as p.
+    p, end, columns = (1 << m // 2) - 1, 1 << m - 1, []
+    while p < end:
+        columns.append(p + 1)
+        low = p & -p
+        carry = p + low
+        p = ((carry ^ p) >> 2) // low | carry
+    return columns
 
 
 class _Stop(Exception):
@@ -199,30 +227,33 @@ _MINUS_LANE = bytes.maketrans(b"\x01\xff", b"\x00\x01")  # int8 product +1 -> 0,
 
 
 class _Lanes(dict):
-    """The count lanes of one even order: masks, bias, high bits and steps.
+    """The count lanes of one even order: columns, masks, bias, high bits and steps.
 
-    As a dict it maps a column index to that column's step, built the first
-    time the walk asks for it from the column of the pair-sign table: one
+    `columns` is column 1 followed by the balanced columns in ascending
+    order, and bit j-1 of a candidate bitset stands for `columns[j]`.  As a
+    dict it maps such a j to its column's step, built the first time the
+    walk asks for it from the pair-sign table of the balanced columns: one
     in minus lane p where the column's product on pair p is -1, and one in
-    plus lane p where it is +1.  `masks[lane]` is the column bitset that
-    leaves `lane` alone.
+    plus lane p where it is +1.  `masks[lane]` is the candidate bitset that
+    leaves `lane` alone, and `root` the lanes of the set {1}.
     """
 
-    __slots__ = ("table", "half", "plus_ones", "masks", "start", "high", "n_columns")
+    __slots__ = ("columns", "table", "half", "plus_ones", "masks", "root", "high", "everything")
 
-    def __init__(self, m: int, table: np.ndarray):
+    def __init__(self, m: int):
         super().__init__()
-        pairs, self.n_columns = table.shape
-        self.table = table
-        self.half = 8 * pairs  # bit offset of the minus lanes
+        balanced = _balanced_columns(m)
+        self.columns = (1, *balanced)
+        self.table = _pair_block(m, balanced)
+        self.half = 8 * len(self.table)  # bit offset of the minus lanes
         self.plus_ones = (1 << self.half) // 255  # a one in every plus lane
         every_lane = (1 << 2 * self.half) // 255
-        self.start = (128 - m // 2) * every_lane
+        self.root = (128 - m // 2) * every_lane + self.plus_ones
         self.high = 128 * every_lane
-        everything = (1 << self.n_columns) - 1  # bit j-1 stands for column j
+        self.everything = (1 << len(balanced)) - 1
         minus = [int.from_bytes(np.packbits(row < 0, bitorder="little").tobytes(), "little")
-                 for row in table]
-        self.masks = minus + [everything ^ bits for bits in minus]
+                 for row in self.table]
+        self.masks = minus + [self.everything ^ bits for bits in minus]
 
     def __missing__(self, j: int) -> int:
         minus = int.from_bytes(self.table[:, j - 1].tobytes().translate(_MINUS_LANE), "little")
@@ -235,11 +266,11 @@ def _dfs(lanes: _Lanes, chosen: tuple[int, ...], state: int, saturated: int, can
     """Walk the subtree below `chosen`, whose count lanes are `state`.
 
     `saturated` holds the high bits of the parent's saturated lanes, and
-    `candidates` the columns above the last chosen one that passed every
-    ancestor's test.  With `remaining` columns to go, a column passes this
-    node's test when it adds to no saturated lane.  The lanes saturated at
-    the parent were ANDed in above it, so only those saturated here and not
-    there cost one AND each, and the ANDs stop once no candidate is left.
+    `candidates` the balanced columns above the last chosen one that passed
+    every ancestor's test.  With `remaining` columns to go, a column passes
+    this node's test when it adds to no saturated lane.  The lanes saturated
+    at the parent were ANDed in above it, so only those saturated here and
+    not there cost one AND each, and the ANDs stop once no candidate is left.
     Survivors are then visited in ascending order while at least
     `remaining` of them are left.  At a leaf every count is m/2 exactly
     when `state` is the lanes' high mask.
@@ -250,7 +281,7 @@ def _dfs(lanes: _Lanes, chosen: tuple[int, ...], state: int, saturated: int, can
             run.emit(chosen)
         return
     now = state & high
-    masks = lanes.masks
+    masks, columns = lanes.masks, lanes.columns
     row = (now ^ saturated).to_bytes(len(masks), "little")  # 128 at each new lane
     p = row.find(128)
     while p >= 0 and candidates:
@@ -263,7 +294,7 @@ def _dfs(lanes: _Lanes, chosen: tuple[int, ...], state: int, saturated: int, can
         candidates ^= low
         left -= 1
         run.visit()
-        _dfs(lanes, chosen + (j,), state + lanes[j], now, candidates, remaining - 1, run)
+        _dfs(lanes, chosen + (columns[j],), state + lanes[j], now, candidates, remaining - 1, run)
 
 
 def find_hadamard_column_sets(m: int, limit: int | None = None,
@@ -280,8 +311,8 @@ def find_hadamard_column_sets(m: int, limit: int | None = None,
     direct Hadamard test.  The
     report says whether the tree was fully explored and which budget (if
     any) cut the run short.  Odd orders end at the root; even orders whose
-    pair-sign table exceeds ENGINE_TABLE_BUDGET (m >= 22) raise
-    ResourceLimitError.
+    pair-sign table of balanced columns exceeds ENGINE_TABLE_BUDGET
+    (m >= 24) raise ResourceLimitError.
     """
     opts = options or SearchOptions()
     if m < 2:
@@ -295,11 +326,10 @@ def find_hadamard_column_sets(m: int, limit: int | None = None,
     # Parity of the final pair sums equals the parity of m: odd orders are
     # exhausted at the root without expanding anything.
     if m % 2 == 0:
-        lanes = _Lanes(m, pair_sign_table(m))
-        above_one = (1 << lanes.n_columns) - 2  # every column but column 1
+        lanes = _Lanes(m)
         try:
             run.visit()
-            _dfs(lanes, (1,), lanes.start + lanes[1], 0, above_one, m - 1, run)
+            _dfs(lanes, (1,), lanes.root, 0, lanes.everything, m - 1, run)
         except _Stop as stop:
             reason = stop.args[0]
 

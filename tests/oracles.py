@@ -115,16 +115,24 @@ def brute_force_column_sets(m: int, chunk: int = 200_000):
     return solutions, checked
 
 
+def columns_orthogonal_to_ones(m: int):
+    """Ascending indices of the truth columns whose literal dot with column 1 is 0."""
+    columns = list(zip(*truth_by_recursion(m)))
+    return tuple(c for c, col in enumerate(columns, start=1)
+                 if sum(a * b for a, b in zip(columns[0], col)) == 0)
+
+
 def search_walk(m: int, force_first_column: bool = False, node_limit: int | None = None):
     """The search engine's walk, by a literal pure-Python DFS (even m only).
 
     Column 1 (all ones) is forced in both modes and is the first node.
-    Columns of the recursion-built truth table are then chosen in ascending
-    order.  With r columns still to choose, a column is admitted when every
-    row-pair sum stays within r - 1 after adding its products, and admitted
-    columns are taken in ascending order only while at least r of them are
-    left, the current one included.  Each taken column is one node, counted
-    before it is expanded.  At most node_limit nodes are visited.
+    The columns of the recursion-built truth table orthogonal to it are then
+    chosen in ascending order.  With r columns still to choose, a column is
+    admitted when every row-pair sum stays within r - 1 after adding its
+    products, and admitted columns are taken in ascending order only while
+    at least r of them are left, the current one included.  Each taken
+    column is one node, counted before it is expanded.  At most node_limit
+    nodes are visited.
 
     Without force_first_column, every set the walk finds is followed by its
     translates: for each of the 2^(m-1) sign vectors d with d[0] = +1, in
@@ -141,7 +149,7 @@ def search_walk(m: int, force_first_column: bool = False, node_limit: int | None
     index_of = {col: c for c, col in enumerate(columns, start=1)}
     pairs = [(i, j) for j in range(1, m) for i in range(j)]
     products = [None] + [tuple(col[i] * col[j] for i, j in pairs) for col in columns]
-    n_cols = len(columns)
+    orthogonal = columns_orthogonal_to_ones(m)
     walk, emitted = [], []
 
     class Stop(Exception):
@@ -168,8 +176,8 @@ def search_walk(m: int, force_first_column: bool = False, node_limit: int | None
                 emit(chosen)
             return
         admitted = [
-            c for c in range(start, n_cols + 1)
-            if all(abs(s + t) <= remaining - 1 for s, t in zip(sums, products[c]))
+            c for c in orthogonal
+            if c >= start and all(abs(s + t) <= remaining - 1 for s, t in zip(sums, products[c]))
         ]
         for taken, c in enumerate(admitted):
             if len(admitted) - taken < remaining:

@@ -183,8 +183,8 @@ def test_criterion_6_search_correctness():
     ).in_span
     assert time.monotonic() - eight_start < 60.0
 
-    assert engine4.nodes == 8 and engine6.nodes == 594
-    for m, nodes in ((4, 8), (6, 594)):
+    assert engine4.nodes == 4 and engine6.nodes == 40
+    for m, nodes in ((4, 4), (6, 40)):
         normalized = find_hadamard_column_sets(m, options=SearchOptions(force_first_column=True))
         assert normalized.exhaustive and normalized.nodes == nodes
     report(6, "search m=2..8 vs oracles, pinned node counts", started, 125.0)

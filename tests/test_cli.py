@@ -333,7 +333,7 @@ def test_search_json_report(capsys):
     record = json.loads(out)
     assert code == 0
     assert record["solutions"] == [[1, 4, 6, 7], [2, 3, 5, 8]]
-    assert record["nodes"] == 8
+    assert record["nodes"] == 4
     assert record["exhaustive"] is True
 
 

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import goldens
+from limits import GIB, run_limited
 from oracles import (
     brute_force_column_sets,
+    columns_orthogonal_to_ones,
     pair_products_by_rows,
     row_dots,
     search_walk,
@@ -21,15 +23,26 @@ from hadamardesque import (
     column_set_matrix,
     find_hadamard_column_sets,
     is_hadamard,
-    pair_sign_table,
     sylvester,
     verify_column_set,
 )
 
 
-def test_pair_sign_table_matches_column_products():
-    for m in (2, 3, 5):
-        assert tuple(map(tuple, pair_sign_table(m).tolist())) == pair_products_by_rows(m)
+@pytest.mark.parametrize("m", (2, 4, 6, 8, 10, 12))
+def test_balanced_columns_are_those_orthogonal_to_the_ones_column(m):
+    orthogonal = columns_orthogonal_to_ones(m)
+    assert len(orthogonal) == math.comb(m - 1, m // 2)
+    assert search._Lanes(m).columns == (1, *orthogonal)
+
+
+def test_balanced_pair_table_matches_column_products():
+    for m in (2, 4, 6, 8, 10):
+        table = search._Lanes(m).table
+        assert table.dtype == np.int8
+        assert table.shape == (m * (m - 1) // 2, math.comb(m - 1, m // 2))
+        expected = tuple(tuple(row[c - 1] for c in columns_orthogonal_to_ones(m))
+                         for row in pair_products_by_rows(m))
+        assert tuple(map(tuple, table.tolist())) == expected
 
 
 def test_order_two_exact_solution():
@@ -83,10 +96,13 @@ def test_solutions_stream_before_the_search_ends(monkeypatch):
 
     monkeypatch.setattr(search._Run, "visit", counting_visit)
     seen_at = []
-    report = find_hadamard_column_sets(4, on_solution=lambda columns: seen_at.append(len(visits)))
-    assert report.solutions == goldens.M4_SOLUTIONS
-    assert len(seen_at) == 2
-    assert seen_at[0] < report.nodes == len(visits) == 8
+    options = SearchOptions(force_first_column=True)
+    report = find_hadamard_column_sets(
+        8, options=options, on_solution=lambda columns: seen_at.append(len(visits))
+    )
+    assert report.solutions[0] == (1, 16, 52, 61, 86, 91, 103, 106)
+    assert len(seen_at) == len(report.solutions) == 30
+    assert seen_at[0] == 970 < report.nodes == len(visits) == 15_712
 
 
 def _engine_walk(monkeypatch, m, force_first_column, node_limit=None):
@@ -126,14 +142,14 @@ def test_walk_matches_the_literal_pair_sum_dfs(monkeypatch, m, node_limit, force
 
 
 def test_node_limit_partial():
-    report = find_hadamard_column_sets(6, options=SearchOptions(node_limit=50))
+    report = find_hadamard_column_sets(8, options=SearchOptions(node_limit=50))
     assert not report.exhaustive
     assert report.limit_fired == "nodes"
     assert report.nodes == 50
 
 
 def test_time_limit_partial():
-    for m, seconds in ((8, 0.05), (12, 0.01)):
+    for m, seconds in ((10, 0.05), (12, 0.01)):
         started = time.monotonic()
         report = find_hadamard_column_sets(m, options=SearchOptions(time_limit=seconds))
         assert time.monotonic() - started < 1.0
@@ -144,11 +160,11 @@ def test_time_limit_partial():
 @pytest.mark.parametrize(
     ("m", "fields", "nodes"),
     [
-        (4, {}, 8),
-        (4, {"force_first_column": True}, 8),
+        (4, {}, 4),
+        (4, {"force_first_column": True}, 4),
         (5, {"force_first_column": True}, 0),
-        (6, {}, 594),
-        (6, {"force_first_column": True}, 594),
+        (6, {}, 40),
+        (6, {"force_first_column": True}, 40),
     ],
 )
 def test_exhaustive_node_counts_pinned(m, fields, nodes):
@@ -163,23 +179,23 @@ def test_exhaustive_node_counts_pinned(m, fields, nodes):
 
 
 def test_node_limit_boundary():
-    whole = find_hadamard_column_sets(6, options=SearchOptions(node_limit=594))
+    whole = find_hadamard_column_sets(6, options=SearchOptions(node_limit=40))
     assert whole.exhaustive
     assert whole.limit_fired is None
-    assert whole.nodes == 594
-    cut = find_hadamard_column_sets(6, options=SearchOptions(node_limit=593))
+    assert whole.nodes == 40
+    cut = find_hadamard_column_sets(6, options=SearchOptions(node_limit=39))
     assert not cut.exhaustive
     assert cut.limit_fired == "nodes"
-    assert cut.nodes == 593
+    assert cut.nodes == 39
 
 
 def test_node_limited_runs_repeat():
     runs = [
-        find_hadamard_column_sets(8, options=SearchOptions(node_limit=20_000))
+        find_hadamard_column_sets(8, options=SearchOptions(node_limit=10_000))
         for _ in range(2)
     ]
-    assert runs[0].nodes == runs[1].nodes == 20_000
-    assert runs[0].solutions == runs[1].solutions
+    assert runs[0].nodes == runs[1].nodes == 10_000
+    assert runs[0].solutions and runs[0].solutions == runs[1].solutions
     assert runs[0].limit_fired == runs[1].limit_fired == "nodes"
 
 
@@ -251,7 +267,7 @@ def test_unnormalized_count_is_normalized_count_times_translates(m, normalized, 
 def test_order_eight_finds_solution():
     report = find_hadamard_column_sets(8, limit=1)
     # Pinned: the walk to the first order-8 solution, node for node.
-    assert report.nodes == 391_169
+    assert report.nodes == 970
     assert report.solutions == ((1, 16, 52, 61, 86, 91, 103, 106),)
     assert report.limit_fired == "solutions"
     (solution,) = report.solutions
@@ -283,8 +299,11 @@ def test_engine_range_checks():
         find_hadamard_column_sets(1)
     report = find_hadamard_column_sets(29)
     assert (report.solutions, report.nodes, report.exhaustive) == ((), 0, True)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="bounded below"):
         find_hadamard_column_sets(30)
+    # 276 pairs times C(23, 12) = 1,352,078 balanced columns is over 2^27.
+    with pytest.raises(ResourceLimitError, match="373173528"):
+        find_hadamard_column_sets(24)
     with pytest.raises(ValueError):
         find_hadamard_column_sets(4, limit=0)
 
@@ -297,8 +316,12 @@ def test_dense_solution_and_record():
     assert record["exhaustive"] is True
 
 
-def test_sign_table_dtype_and_shape():
-    table = pair_sign_table(6)
-    assert table.shape == (15, 32)
-    assert table.dtype == np.int8
-    assert set(np.unique(table)) == {-1, 1}
+def test_largest_admitted_order_builds_its_table_and_stops_on_nodes():
+    # 231 pairs times C(21, 11) = 352,716 balanced columns is within 2^27.
+    code = (
+        "from hadamardesque import SearchOptions, find_hadamard_column_sets\n"
+        "report = find_hadamard_column_sets(22, options=SearchOptions(node_limit=10))\n"
+        "print(report.nodes, report.limit_fired)\n"
+    )
+    result = run_limited(code, limit=2 * GIB)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "10 nodes\n", "")
