@@ -20,9 +20,7 @@ from .classify import (
     factor_columns,
     in_free_span,
     is_hadamard,
-    is_partial_hadamard,
     pairwise_dots,
-    same_pairwise_dots,
     to_hadamardesque,
 )
 from .construct import (
@@ -45,8 +43,6 @@ from .search import (
 )
 from .walsh import (
     OUTPUT_ENTRY_BUDGET,
-    column_from_signs,
-    column_signs,
     free_masks,
     fwht,
     pair_count,
@@ -81,10 +77,8 @@ __all__ = [
     "SquareClassification",
     "WeightedColumn",
     "classify_square",
-    "column_from_signs",
     "column_representation",
     "column_set_matrix",
-    "column_signs",
     "construct_crv",
     "construct_matrix",
     "factor_columns",
@@ -95,7 +89,6 @@ __all__ = [
     "fwht",
     "in_free_span",
     "is_hadamard",
-    "is_partial_hadamard",
     "pair_count",
     "pair_index",
     "pair_masks",
@@ -109,7 +102,6 @@ __all__ = [
     "realize_uniform_irrational",
     "realize_uniform_rational",
     "row_mask",
-    "same_pairwise_dots",
     "sylvester",
     "to_hadamardesque",
     "truth_table",

@@ -147,7 +147,9 @@ class RepresentationVector:
     def __post_init__(self):
         n = len(self.values)
         # n = 2^(m-1) tested by bit length: shifting by a huge m can exhaust memory.
-        if self.m < 1 or n.bit_length() != self.m or n & (n - 1):
+        if self.m < 1:
+            raise ValueError(f"order m must be at least 1, got {self.m}")
+        if n.bit_length() != self.m or n & (n - 1):
             raise ValueError(f"expected 2^{self.m - 1} coordinates for m={self.m}, got {n}")
         values = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.values)
         object.__setattr__(self, "values", values)
@@ -381,22 +383,6 @@ def _span_check(m: int, indices, numerators: list[int], den: int) -> SpanCheck:
     return SpanCheck(not violations, violations)
 
 
-def same_pairwise_dots(v: RepresentationVector, w: RepresentationVector) -> SpanCheck:
-    """Do two representation vectors force identical pairwise row dots?
-
-    True exactly when their difference is orthogonal to every pair-product
-    row; the difference may be negative coordinatewise.
-    """
-    if v.m != w.m:
-        raise ValueError(f"order mismatch: {v.m} vs {w.m}")
-    v_nums, v_den = _rational_numerators(v.values)
-    w_nums, w_den = _rational_numerators(w.values)
-    den = lcm(v_den, w_den)
-    v_scale, w_scale = den // v_den, den // w_den
-    diff = [a * v_scale - b * w_scale for a, b in zip(v_nums, w_nums)]
-    return _span_check(v.m, range(1, len(diff) + 1), diff, den)
-
-
 # ---------------------------------------------------------------------------
 # Hadamard tests
 
@@ -417,25 +403,6 @@ def is_hadamard(matrix: DenseMatrix) -> bool:
     if matrix.rows != matrix.cols:
         return False
     return _entries_unit(matrix) and _direct_row_dots_zero(matrix)
-
-
-def is_partial_hadamard(matrix: DenseMatrix) -> bool:
-    """Entries +-1 and rows pairwise orthogonal; the matrix may be rectangular.
-
-    The direct dot-product verdict is cross-checked against the pair sums
-    of the factored columns (representation vector in the free span); the
-    two are equivalent, so a mismatch signals an internal error.
-    """
-    if not _entries_unit(matrix):
-        return False
-    if matrix.rows < 2:
-        return True
-    direct = _direct_row_dots_zero(matrix)
-    indices, numerators, _ = _column_weights(to_hadamardesque(matrix))
-    in_span = not any(_pair_sums(matrix.rows, indices, numerators))
-    if direct != in_span:
-        raise RuntimeError("direct and free-span orthogonality tests disagree")
-    return direct
 
 
 @dataclass(frozen=True)

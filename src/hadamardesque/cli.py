@@ -112,7 +112,10 @@ def _load_weight_vector(path: str) -> RepresentationVector:
     text = _read_text(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        record = json.loads(text)
+        try:
+            record = json.loads(text)
+        except RecursionError:
+            raise FormatError(f"{path}: JSON nested too deeply") from None
         m, entries = record.get("m"), record.get("v")
         if type(m) is not int or not isinstance(entries, list):
             raise FormatError(f'{path}: a weight record needs an integer "m" and a list "v"')

@@ -4,15 +4,14 @@ The truth table of order m is the m x 2^(m-1) matrix whose columns are all
 sign vectors (1, +-1, ..., +-1).  Column j encodes its signs in the bits of
 j-1: row k (k >= 2) is negative exactly when bit k-2 of j-1 is set.  One
 function, _sign_block, applies that rule; every +-1 table here and in the
-search engine is built from its output, and column_from_signs inverts it.
+search engine is built from its output.
 With that convention, row k of the truth table is the Sylvester Hadamard
 row with mask 2^(k-2) (row 1 is mask 0), and the coordinatewise product of
 two truth rows is the Hadamard row whose mask is the XOR of theirs
 (row_mask, pair_to_mask).  Every output that grows with 2^(m-1) (dense
 tables, Sylvester matrices, weight vectors, dense expansions) is refused
-past OUTPUT_ENTRY_BUDGET entries before anything is allocated; single
-columns of any order come from column_signs, and pair sums cost what their
-column list costs.
+past OUTPUT_ENTRY_BUDGET entries before anything is allocated; pair sums
+cost what their column list costs.
 
 A useful identity (not an operation): permuting the truth columns permutes
 the columns of the pair-product table and of the Hadamard matrix the same
@@ -65,31 +64,6 @@ def _check_columns(m: int, indices: Sequence[int]) -> None:
 # Sign columns and truth table
 
 
-def column_signs(m: int, j: int) -> tuple[int, ...]:
-    """Column j of the truth table as a tuple of +-1 (leading +1)."""
-    _check_order(m)
-    return tuple(_sign_block(m, [j])[:, 0].tolist())
-
-
-def column_from_signs(signs: Sequence[int]) -> int:
-    """Inverse of column_signs: the 1-based column index of a sign vector.
-
-    The leading entry must be +1; callers normalise a negative-leading
-    column by flipping its sign (the pairwise products are unchanged).
-    """
-    if not signs:
-        raise ValueError("empty sign vector")
-    if signs[0] != 1:
-        raise ValueError("sign vector must start with +1")
-    index = 0
-    for k, s in enumerate(signs[1:]):
-        if s == -1:
-            index |= 1 << k
-        elif s != 1:
-            raise ValueError(f"sign vector entries must be +-1, got {s!r}")
-    return index + 1
-
-
 def _sign_block(m: int, indices: Sequence[int]) -> np.ndarray:
     """int8 array of shape (m, len(indices)) holding truth columns `indices`."""
     _check_columns(m, indices)
@@ -119,10 +93,7 @@ def _pair_block(m: int, indices: Sequence[int]) -> np.ndarray:
 
 
 def truth_table(m: int) -> DenseMatrix:
-    """Dense m x 2^(m-1) truth table, within OUTPUT_ENTRY_BUDGET entries (m <= 18).
-
-    Single columns of any order come from column_signs.
-    """
+    """Dense m x 2^(m-1) truth table, within OUTPUT_ENTRY_BUDGET entries (m <= 18)."""
     _check_order(m)
     _check_entries(f"truth table of order {m}", m, m - 1)
     return _sign_matrix(_sign_block(m, range(1, (1 << (m - 1)) + 1)) < 0)

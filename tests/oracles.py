@@ -44,6 +44,15 @@ def truth_by_recursion(m: int):
     return tuple(tuple(r) for r in rows)
 
 
+def column_index_of_signs(signs) -> int:
+    """1-based truth column index of a sign vector with a leading +1, by the bit rule.
+
+    Row k (k >= 2) negative adds 2^(k-2) to the index.
+    """
+    assert signs[0] == 1 and all(s in (1, -1) for s in signs)
+    return 1 + sum(2 ** (k - 2) for k, s in enumerate(signs, start=1) if k >= 2 and s == -1)
+
+
 def pair_products_by_rows(m: int):
     """Pairwise-product table: literal products of truth-table row pairs."""
     truth = truth_by_recursion(m)

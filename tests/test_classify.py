@@ -21,11 +21,9 @@ from hadamardesque import (
     factor_columns,
     in_free_span,
     is_hadamard,
-    is_partial_hadamard,
     pair_count,
     pairwise_dots,
     parse_matrix,
-    same_pairwise_dots,
     sylvester,
     to_hadamardesque,
     truth_table,
@@ -373,20 +371,22 @@ def test_in_free_span_length_checks():
         in_free_span([1, 2, 3])
 
 
+def _same_dots(v, w):
+    return in_free_span([a - b for a, b in zip(v.values, w.values)])
+
+
 def test_same_pairwise_dots():
     ones = RepresentationVector(4, (Fraction(1),) * 8)
-    assert same_pairwise_dots(ones, ones).in_span
+    assert _same_dots(ones, ones).in_span
     shifted = RepresentationVector(4, tuple(v + 3 for v in ones.values))
-    assert same_pairwise_dots(ones, shifted).in_span
+    assert _same_dots(ones, shifted).in_span
     h4 = RepresentationVector(4, goldens.REMARK_CRV)
-    assert same_pairwise_dots(ones, h4).in_span  # both realize zero dots
+    assert _same_dots(ones, h4).in_span  # both realize zero dots
     e1 = RepresentationVector(4, (Fraction(1),) + (Fraction(0),) * 7)
     zero = RepresentationVector(4, (Fraction(0),) * 8)
-    check = same_pairwise_dots(e1, zero)
+    check = _same_dots(e1, zero)
     assert not check.in_span
     assert check.violations == tuple((L, 1) for L in range(1, 7))
-    with pytest.raises(ValueError):
-        same_pairwise_dots(ones, RepresentationVector(3, (Fraction(1),) * 4))
 
 
 def test_same_dots_matches_realized_dots():
@@ -396,7 +396,7 @@ def test_same_dots_matches_realized_dots():
         a = random_hadamardesque(rng, m, rng.randint(1, 8))
         b = random_hadamardesque(rng, m, rng.randint(1, 8))
         expected = pairwise_dots(a).values == pairwise_dots(b).values
-        assert bool(same_pairwise_dots(column_representation(a), column_representation(b))) == expected
+        assert bool(_same_dots(column_representation(a), column_representation(b))) == expected
 
 
 # --- Hadamard tests ---------------------------------------------------------------
@@ -410,22 +410,15 @@ def test_is_hadamard():
     assert not is_hadamard(DenseMatrix(((2, 2), (2, -2))))  # right dots, wrong entries
 
 
-def test_is_partial_hadamard():
-    two_rows = DenseMatrix(tuple(goldens.H4[:2]))
-    assert is_partial_hadamard(two_rows)
-    assert is_partial_hadamard(truth_table(4))
-    assert not is_partial_hadamard(DenseMatrix(((1, 1), (1, 1))))
-    assert not is_partial_hadamard(DenseMatrix(((2, 2), (2, -2))))
-    assert is_partial_hadamard(DenseMatrix(((1, 1, 1, 1),)))  # single row, vacuous
-
-
 def test_is_partial_hadamard_order_32():
     h32 = sylvester(5)
-    assert is_partial_hadamard(h32)
-    assert is_partial_hadamard(DenseMatrix(h32.entries[:31]))
     flipped = [list(row) for row in h32.entries]
     flipped[7][11] = -flipped[7][11]
-    assert not is_partial_hadamard(DenseMatrix(tuple(map(tuple, flipped))))
+    flipped = tuple(map(tuple, flipped))
+    for entries, orthogonal in ((h32.entries, True), (h32.entries[:31], True), (flipped, False)):
+        dots = pairwise_dots(factor_columns(DenseMatrix(entries)).matrix).values
+        assert dots == row_dots(entries)
+        assert (not any(dots)) == orthogonal
 
 
 # The nonzero coordinates of REMARK_CRV, as (truth column index, weight).

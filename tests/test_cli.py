@@ -205,6 +205,23 @@ def test_in_span_malformed_json_record_is_argument_error(capsys, tmp_path, recor
     assert err.startswith("error:")
 
 
+def test_in_span_of_a_deeply_nested_json_record_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "v.json"
+    path.write_text('{"m": 2, "v": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run(capsys, "in-span", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: JSON nested too deeply\n"
+
+
+@pytest.mark.parametrize("m", (0, -1))
+def test_in_span_of_an_order_below_one_is_an_input_error(capsys, tmp_path, m):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"m": m, "v": []}))
+    code, out, err = run(capsys, "in-span", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: order m must be at least 1, got {m}\n"
+
+
 # --- construct -------------------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ import goldens
 from limits import GIB, run_limited
 from oracles import (
     brute_force_column_sets,
+    column_index_of_signs,
     columns_orthogonal_to_ones,
     pair_products_by_rows,
     row_dots,
@@ -19,7 +20,6 @@ from hadamardesque import search
 from hadamardesque import (
     ResourceLimitError,
     SearchOptions,
-    column_from_signs,
     column_set_matrix,
     find_hadamard_column_sets,
     is_hadamard,
@@ -288,7 +288,7 @@ def test_verify_column_set():
 
 def test_verify_column_set_order_32():
     h32 = sylvester(5)
-    columns = [column_from_signs(col) for col in zip(*h32.entries)]
+    columns = [column_index_of_signs(col) for col in zip(*h32.entries)]
     assert verify_column_set(32, columns)
     # No Hadamard matrix has a column negative on every row but the first.
     assert not verify_column_set(32, columns[:-1] + [1 << 31])

@@ -9,6 +9,7 @@ import pytest
 
 import goldens
 from oracles import (
+    column_index_of_signs,
     naive_wht,
     pair_products_by_rows,
     row_dots,
@@ -22,9 +23,7 @@ from hadamardesque import (
     HadamardesqueMatrix,
     ResourceLimitError,
     WeightedColumn,
-    column_from_signs,
     column_representation,
-    column_signs,
     construct_crv,
     free_masks,
     fwht,
@@ -109,45 +108,40 @@ def test_truth_rows_sit_in_hadamard_rows():
             assert truth[k - 1] == hadamard[row_mask(k)]
 
 
+def _column(m, j):
+    return tuple(_sign_block(m, [j])[:, 0].tolist())
+
+
 def test_column_signs_roundtrip():
     for m in (1, 2, 5):
         truth = truth_by_recursion(m)
         for j in range(1, (1 << (m - 1)) + 1):
-            signs = column_signs(m, j)
-            assert column_from_signs(signs) == j
+            signs = _column(m, j)
+            assert column_index_of_signs(signs) == j
             assert signs == tuple(row[j - 1] for row in truth)
 
 
 @pytest.mark.parametrize("m", (17, 40, 64))
 def test_column_signs_of_wide_orders(m):
     half = 1 << (m - 2)
-    assert column_signs(m, 1) == (1,) * m
+    assert _column(m, 1) == (1,) * m
     # The doubling recursion's last row is +1 on the first half, -1 on the second.
-    assert column_signs(m, half) == (1,) + (-1,) * (m - 2) + (1,)
-    assert column_signs(m, half + 1) == (1,) * (m - 1) + (-1,)
-    assert column_signs(m, 2 * half) == (1,) + (-1,) * (m - 1)
+    assert _column(m, half) == (1,) + (-1,) * (m - 2) + (1,)
+    assert _column(m, half + 1) == (1,) * (m - 1) + (-1,)
+    assert _column(m, 2 * half) == (1,) + (-1,) * (m - 1)
     for j in (1, half, half + 1, 2 * half):
-        assert column_from_signs(column_signs(m, j)) == j
-
-
-def test_column_from_signs_validation():
-    with pytest.raises(ValueError):
-        column_from_signs(())
-    with pytest.raises(ValueError):
-        column_from_signs((-1, 1))
-    with pytest.raises(ValueError):
-        column_from_signs((1, 0))
+        assert column_index_of_signs(_column(m, j)) == j
 
 
 def test_truth_table_guards():
     with pytest.raises(IndexError):
-        column_signs(3, 0)
+        _sign_block(3, [0])
     with pytest.raises(IndexError):
-        column_signs(3, 5)
+        _sign_block(3, [5])
     with pytest.raises(IndexError):
-        column_signs(64, (1 << 63) + 1)
+        _sign_block(64, [(1 << 63) + 1])
     with pytest.raises(ValueError):
-        column_signs(0, 1)
+        truth_table(0)
     with pytest.raises(ResourceLimitError):
         truth_table(19)
     with pytest.raises(ResourceLimitError):
@@ -198,7 +192,7 @@ def test_first_refused_size_of_each_output(build):
 def test_largest_truth_table_within_budget():
     table = truth_table(18)
     assert table.shape == (18, 1 << 17)
-    assert tuple(row[-1] for row in table.entries) == column_signs(18, 1 << 17)
+    assert column_index_of_signs(tuple(row[-1] for row in table.entries)) == 1 << 17
 
 
 def _raises_resource_limit(node) -> bool:
