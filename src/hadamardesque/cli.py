@@ -27,7 +27,7 @@ from .classify import (
 from .construct import ConstructionOptions, construct_matrix
 from .dense import _first_occurrence_codes, format_matrix, parse_matrix
 from .errors import FormatError, InfeasibleError, ResourceLimitError, ShapeError
-from .scalars import format_scalar, parse_scalar
+from .scalars import _shown, format_scalar, parse_scalar
 from .search import SearchOptions, find_hadamard_column_sets, verify_column_set
 from .walsh import pair_rows, pair_product_table, sylvester, truth_table
 
@@ -57,7 +57,7 @@ def _rational(value, what: str) -> Fraction:
         raise FormatError(f"{what} must be a rational token or an integer, got {value!r}")
     parsed = parse_scalar(value)
     if not isinstance(parsed, Fraction):
-        raise FormatError(f"{what} {value!r} is irrational")
+        raise FormatError(f"{what} {_shown(value)} is irrational")
     return parsed
 
 
@@ -116,6 +116,8 @@ def _load_weight_vector(path: str) -> RepresentationVector:
             record = json.loads(text)
         except RecursionError:
             raise FormatError(f"{path}: JSON nested too deeply") from None
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: {exc}") from None
         m, entries = record.get("m"), record.get("v")
         if type(m) is not int or not isinstance(entries, list):
             raise FormatError(f'{path}: a weight record needs an integer "m" and a list "v"')

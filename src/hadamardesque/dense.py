@@ -32,6 +32,7 @@ from .scalars import (
     _build_scalar,
     _finite_float,
     _grammar_parts,
+    _shown,
     _signed_squares,
     format_scalar,
     parse_scalar,
@@ -221,7 +222,7 @@ def parse_matrix(text: str, *, exact: bool = False) -> DenseMatrix:
     parts = header.split()
     if len(parts) != 2 or not all(p.isdigit() for p in parts):
         got = header.strip().decode("utf-8", "surrogatepass")
-        raise FormatError(f"line {header_no}: expected header 'm n', got {got!r}")
+        raise FormatError(f"line {header_no}: expected header 'm n', got {_shown(got)}")
     n_rows, n_cols = int(parts[0]), int(parts[1])
     if n_rows < 1 or n_cols < 1:
         raise FormatError(f"line {header_no}: dimensions must be positive")

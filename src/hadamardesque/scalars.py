@@ -218,6 +218,13 @@ def _digit_count(n: int) -> int:
     return low + (n >= 10**low)
 
 
+def _shown(token: str) -> str:
+    """repr(token) for an error message: in full up to 500 characters, else its first 20 and its length."""
+    if len(token) <= 500:
+        return repr(token)
+    return f"{token[:20]!r}... ({len(token)} characters)"
+
+
 def parse_scalar(token: str, *, exact: bool = True):
     """Parse one scalar token.
 
@@ -231,13 +238,13 @@ def parse_scalar(token: str, *, exact: bool = True):
     match = _TOKEN_RE.fullmatch(token)
     if match is None:
         if exact:
-            raise FormatError(f"malformed exact token {token!r}")
+            raise FormatError(f"malformed exact token {_shown(token)}")
         if not token.isascii() or "_" in token or token.strip() != token:  # float() reads all three
-            raise FormatError(f"malformed scalar token {token!r}")
+            raise FormatError(f"malformed scalar token {_shown(token)}")
         try:
             value = float(token)
         except ValueError:
-            raise FormatError(f"malformed scalar token {token!r}") from None
+            raise FormatError(f"malformed scalar token {_shown(token)}") from None
         return _finite_float(value, token)
     sign, root, num, den = match.groups()
     try:
@@ -246,7 +253,7 @@ def parse_scalar(token: str, *, exact: bool = True):
         digits = len(num) + len(den or "")
         raise FormatError(f"token {token[:20]!r}... with {digits} digits is too long") from None
     if q == 0:
-        raise FormatError(f"zero denominator in token {token!r}")
+        raise FormatError(f"zero denominator in token {_shown(token)}")
     return _build_scalar(sign == "-", root is not None, p, q)
 
 
@@ -297,5 +304,5 @@ def _finite_float(value, token: str) -> float:
     except OverflowError:
         out = math.inf
     if not math.isfinite(out):
-        raise FormatError(f"non-finite scalar token {token!r}")
+        raise FormatError(f"non-finite scalar token {_shown(token)}")
     return out

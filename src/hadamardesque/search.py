@@ -67,11 +67,15 @@ column 1 adds one to every plus lane.  A child's lanes are its parent's
 plus its column's step, and a set of m columns is a solution exactly when
 every lane reads 128.
 
-The room bound counts survivors.  A node with r columns to go visits its
-next candidate only while at least r candidates are left, that one
-included: a child must take its r - 1 columns from the survivors above
-its own column, and the child's survivors are a subset of those.  The
-same check ends a node with fewer than r survivors.
+The room bound counts survivors.  A node with r columns to go takes its
+next candidate as a child only while at least r candidates are left, that
+one included: the child must take its r - 1 columns from the survivors
+above its own column, and its own survivors are a subset of those.  The
+node tests each child in place, one AND per lane the child newly
+saturates, and walks it only if r - 1 survivors are left.  Up to 1024
+candidate bits (m <= 12) a popcount costs about one AND, so the node
+counts after each AND and stops at the first shortfall; on wider sets
+it tests for zero and counts once.
 
 The search is one sequential depth-first walk from the root under one set
 of budgets, so partial runs are deterministic too: every run visits the same
@@ -175,7 +179,7 @@ class _Stop(Exception):
 
 @dataclass(slots=True)
 class _Run:
-    """Node count, solutions, budgets and solution callback of one search run."""
+    """Node count, chosen columns, solutions, budgets and solution callback of one search run."""
 
     m: int
     normalized: bool
@@ -185,6 +189,7 @@ class _Run:
     on_solution: object
     nodes: int = 0
     solutions: list = field(default_factory=list)
+    chosen: list = field(default_factory=lambda: [1])  # the node being visited, column 1 first
 
     def visit(self):
         # Check before counting: a run never reports more than node_limit
@@ -261,40 +266,37 @@ class _Lanes(dict):
         return step
 
 
-def _dfs(lanes: _Lanes, chosen: tuple[int, ...], state: int, saturated: int, candidates: int,
-         remaining: int, run: _Run) -> None:
-    """Walk the subtree below `chosen`, whose count lanes are `state`.
+def _walk(lanes: _Lanes, state: int, candidates: int, remaining: int, run: _Run) -> None:
+    """Walk the subtree below `run.chosen`, whose count lanes are `state`.
 
-    `saturated` holds the high bits of the parent's saturated lanes, and
-    `candidates` the balanced columns above the last chosen one that passed
-    every ancestor's test.  With `remaining` columns to go, a column passes
-    this node's test when it adds to no saturated lane.  The lanes saturated
-    at the parent were ANDed in above it, so only those saturated here and
-    not there cost one AND each, and the ANDs stop once no candidate is left.
-    Survivors are then visited in ascending order while at least
-    `remaining` of them are left.  At a leaf every count is m/2 exactly
-    when `state` is the lanes' high mask.
+    `candidates` are the balanced columns above the last chosen one that
+    pass this node's test, at least `remaining` >= 1 of them.
     """
-    high = lanes.high
-    if remaining == 0:
-        if state == high:
-            run.emit(chosen)
-        return
-    now = state & high
-    masks, columns = lanes.masks, lanes.columns
-    row = (now ^ saturated).to_bytes(len(masks), "little")  # 128 at each new lane
-    p = row.find(128)
-    while p >= 0 and candidates:
-        candidates &= masks[p]
-        p = row.find(128, p + 1)
-    left = candidates.bit_count()
+    high, masks, columns, chosen = lanes.high, lanes.masks, lanes.columns, run.chosen
+    now, width, need, left = state & high, len(masks), remaining - 1, candidates.bit_count()
+    narrow = len(columns) <= 1024  # a popcount costs 15 ANDs at m = 20, 1.5 at m = 12
     while left >= remaining:
         low = candidates & -candidates
         j = low.bit_length()
         candidates ^= low
         left -= 1
+        chosen.append(columns[j])
         run.visit()
-        _dfs(lanes, chosen + (columns[j],), state + lanes[j], now, candidates, remaining - 1, run)
+        child = state + lanes[j]
+        if need:
+            row = ((child & high) ^ now).to_bytes(width, "little")  # 128 at each new lane
+            survivors, p = candidates, row.find(128)
+            while p >= 0 and survivors:
+                survivors &= masks[p]
+                if narrow and survivors.bit_count() < need:
+                    break
+                p = row.find(128, p + 1)
+            else:
+                if survivors.bit_count() >= need:
+                    _walk(lanes, child, survivors, need, run)
+        elif child == high:
+            run.emit(tuple(chosen))
+        chosen.pop()
 
 
 def find_hadamard_column_sets(m: int, limit: int | None = None,
@@ -308,11 +310,10 @@ def find_hadamard_column_sets(m: int, limit: int | None = None,
     triple-checked as soon as it is found, then handed to `on_solution`:
     the count lanes of the normalized set it comes from all read m/2,
     verify_column_set's pair sums vanish, and its dense matrix passes the
-    direct Hadamard test.  The
-    report says whether the tree was fully explored and which budget (if
-    any) cut the run short.  Odd orders end at the root; even orders whose
-    pair-sign table of balanced columns exceeds ENGINE_TABLE_BUDGET
-    (m >= 24) raise ResourceLimitError.
+    direct Hadamard test.  The report says whether the tree was fully
+    explored and which budget (if any) cut the run short.  Odd orders end
+    at the root; even orders whose pair-sign table of balanced columns
+    exceeds ENGINE_TABLE_BUDGET (m >= 24) raise ResourceLimitError.
     """
     opts = options or SearchOptions()
     if m < 2:
@@ -327,12 +328,11 @@ def find_hadamard_column_sets(m: int, limit: int | None = None,
     # exhausted at the root without expanding anything.
     if m % 2 == 0:
         lanes = _Lanes(m)
-        try:
+        try:  # column 1 saturates lanes only at m=2, which its one balanced column passes
             run.visit()
-            _dfs(lanes, (1,), lanes.root, 0, lanes.everything, m - 1, run)
+            _walk(lanes, lanes.root, lanes.everything, m - 1, run)
         except _Stop as stop:
             reason = stop.args[0]
-
     return SearchReport(
         m=m,
         solutions=tuple(run.solutions),

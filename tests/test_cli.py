@@ -213,6 +213,33 @@ def test_in_span_of_a_deeply_nested_json_record_is_an_input_error(capsys, tmp_pa
     assert err == f"error: {path}: JSON nested too deeply\n"
 
 
+def test_in_span_of_a_truncated_json_record_names_the_file(capsys, tmp_path):
+    path = tmp_path / "v.json"
+    path.write_text('{"m": 2')
+    code, out, err = run(capsys, "in-span", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: Expecting ',' delimiter")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    ("command", "name", "text"),
+    [
+        ("in-span", "v.txt", "[" * 100_000 + "]" * 100_000),
+        ("crv", "m.txt", "1 1\n" + "x" * 100_000 + "\n"),
+        ("crv", "m.txt", "1 " * 100_000 + "\n1\n"),
+    ],
+    ids=["in-span", "crv", "crv-header"],
+)
+def test_a_long_bad_token_gives_one_short_error_line(capsys, tmp_path, command, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert len(err.encode()) < 200
+
+
 @pytest.mark.parametrize("m", (0, -1))
 def test_in_span_of_an_order_below_one_is_an_input_error(capsys, tmp_path, m):
     path = tmp_path / "v.json"

@@ -96,6 +96,29 @@ def test_parse_rejects_malformed_exact_tokens(token):
         parse_scalar(token)
 
 
+@pytest.mark.parametrize(
+    ("token", "exact", "message"),
+    [
+        ("[" * 100_000 + "]" * 100_000, True, "malformed exact token"),
+        ("\u0661" * 100_000, False, "malformed scalar token"),
+        ("x" * 100_000, False, "malformed scalar token"),
+        ("1/" + "0" * 4_000, True, "zero denominator in token"),
+        ("1" + "0" * 100_000 + ".0", False, "non-finite scalar token"),
+    ],
+    ids=["exact", "non-ascii", "not-a-float", "zero-denominator", "non-finite"],
+)
+def test_refused_long_tokens_are_shortened(token, exact, message):
+    with pytest.raises(FormatError) as refused:
+        parse_scalar(token, exact=exact)
+    assert str(refused.value) == f"{message} {token[:20]!r}... ({len(token)} characters)"
+
+
+@pytest.mark.parametrize("token", ["x" * 500, "1/" + "0" * 498])
+def test_refused_tokens_of_500_characters_are_echoed_in_full(token):
+    with pytest.raises(FormatError, match=f"token {token!r}$"):
+        parse_scalar(token)
+
+
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "auto"])
 @pytest.mark.parametrize(
     "token",

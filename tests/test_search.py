@@ -108,19 +108,14 @@ def test_solutions_stream_before_the_search_ends(monkeypatch):
 def _engine_walk(monkeypatch, m, force_first_column, node_limit=None):
     """The engine's run as search_walk reports it: node tuples and emission counts."""
     visits, walk, emitted = [], [], []
-    visit, dfs = search._Run.visit, search._dfs
+    visit = search._Run.visit
 
     def counting_visit(run):
         visit(run)
         visits.append(run.nodes)
-
-    def recording_dfs(lanes, chosen, *rest):
-        if chosen:
-            walk.append(chosen)
-        dfs(lanes, chosen, *rest)
+        walk.append(tuple(run.chosen))
 
     monkeypatch.setattr(search._Run, "visit", counting_visit)
-    monkeypatch.setattr(search, "_dfs", recording_dfs)
     options = SearchOptions(node_limit=node_limit, force_first_column=force_first_column)
     report = find_hadamard_column_sets(
         m, options=options, on_solution=lambda columns: emitted.append((columns, visits[-1]))
