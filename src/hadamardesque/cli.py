@@ -54,8 +54,11 @@ def _rational(value, what: str) -> Fraction:
     if type(value) is int:  # not bool
         return Fraction(value)
     if not isinstance(value, str):
-        raise FormatError(f"{what} must be a rational token or an integer, got {value!r}")
-    parsed = parse_scalar(value)
+        raise FormatError(f"{what} must be a rational token or an integer, got {_shown(value)}")
+    try:
+        parsed = parse_scalar(value)
+    except FormatError as exc:
+        raise FormatError(f"{what}: {exc}") from None
     if not isinstance(parsed, Fraction):
         raise FormatError(f"{what} {_shown(value)} is irrational")
     return parsed

@@ -218,11 +218,15 @@ def _digit_count(n: int) -> int:
     return low + (n >= 10**low)
 
 
-def _shown(token: str) -> str:
-    """repr(token) for an error message: in full up to 500 characters, else its first 20 and its length."""
-    if len(token) <= 500:
-        return repr(token)
-    return f"{token[:20]!r}... ({len(token)} characters)"
+def _shown(token) -> str:
+    """repr(token) for an error message: in full up to 500 characters, else its first 20 and its length.
+
+    A string is measured in its own characters, anything else in those of its repr.
+    """
+    text, show = (token, repr) if isinstance(token, str) else (repr(token), str)
+    if len(text) <= 500:
+        return show(text)
+    return f"{show(text[:20])}... ({len(text)} characters)"
 
 
 def parse_scalar(token: str, *, exact: bool = True):

@@ -49,23 +49,23 @@ The counts are byte lanes of one Python int: plus lane p is byte p and
 minus lane p is byte P + p, pairs in pair_index order.  Every lane starts
 at the bias 128 - m/2 (positive for every order the table budget admits),
 so it stays within [128 - m/2, 128], no carry ever crosses into the next
-lane, and its high bit is set exactly when its count is m/2: the lane is
-*saturated*.  A saturated lane is a tight pair of the pair-sum view
-(plus = m/2 is s = r, minus = m/2 is s = -r), and every later column must
-then have product -1 (plus lane) or +1 (minus lane) on that pair.  Counts
-never fall, so a saturated lane stays saturated in every child, and a
-column that passes a child's test passed its parent's too.
-Candidates are therefore one Python-int bitset over the balanced columns,
-bit j-1 standing for the j-th of them in ascending order: a child takes
-its parent's surviving bits above its own column and ANDs in, for each
-lane it newly saturated, the mask of the columns that leave that lane
-alone: ``minus[p]`` (the columns whose product on p is -1) for plus lane
-p, its complement ``plus[p]`` for minus lane p.  The masks are built once
-per run from the pair-sign table of the balanced columns, and a column's
-lane increment, its *step*, the first time the walk reaches that column;
-column 1 adds one to every plus lane.  A child's lanes are its parent's
-plus its column's step, and a set of m columns is a solution exactly when
-every lane reads 128.
+lane, and it reads 128 exactly when its count is m/2: the lane is
+*saturated*, a tight pair of the pair-sum view (plus = m/2 is s = r,
+minus = m/2 is s = -r), and every later column must then have product -1
+(plus lane) or +1 (minus lane) on that pair.  Counts never fall, so a
+saturated lane stays saturated in every child, and a column that passes a
+child's test passed its parent's too.  Candidates are therefore one
+Python-int bitset over the balanced columns, bit j-1 standing for the
+j-th of them in ascending order: a child takes its parent's surviving bits
+above its own column and ANDs in, for each lane it newly saturated, the
+mask of the columns that leave that lane alone: ``minus[p]`` (the columns
+whose product on p is -1) for plus lane p, its complement ``plus[p]`` for
+minus lane p.  Those lanes are the ones its column adds to that its parent
+holds at m/2 - 1: one AND of two 2P-bit masks, bit k for lane k, the
+column's *inc* and the parent's *near*.  A child's own lanes, its parent's
+plus its column's *step* (column 1's adds one to every plus lane), are
+built only if it is walked or ends a set, a solution exactly when every
+lane reads 128.
 
 The room bound counts survivors.  A node with r columns to go takes its
 next candidate as a child only while at least r candidates are left, that
@@ -134,15 +134,7 @@ class SearchReport:
     normalized: bool
 
     def to_record(self) -> dict:
-        return {
-            "m": self.m,
-            "solutions": [list(s) for s in self.solutions],
-            "nodes": self.nodes,
-            "elapsed": self.elapsed,
-            "exhaustive": self.exhaustive,
-            "limit_fired": self.limit_fired,
-            "normalized": self.normalized,
-        }
+        return dict(vars(self), solutions=[list(s) for s in self.solutions])
 
 
 def column_set_matrix(m: int, columns) -> DenseMatrix:
@@ -228,7 +220,9 @@ class _Run:
                 return
 
 
-_MINUS_LANE = bytes.maketrans(b"\x01\xff", b"\x00\x01")  # int8 product +1 -> 0, -1 -> 1
+_MINUS_BITS = bytes.maketrans(b"\x01\xff", b"01")  # int8 product +1 -> "0", -1 -> "1"
+_LANE_BYTES = bytes.maketrans(b"01", b"\x00\x01")  # binary digit -> byte lane
+_NEAR_BITS = bytes(49 if b == 127 else 48 for b in range(256))  # lane m/2 - 1 -> "1", else "0"
 
 
 class _Lanes(dict):
@@ -236,44 +230,52 @@ class _Lanes(dict):
 
     `columns` is column 1 followed by the balanced columns in ascending
     order, and bit j-1 of a candidate bitset stands for `columns[j]`.  As a
-    dict it maps such a j to its column's step, built the first time the
-    walk asks for it from the pair-sign table of the balanced columns: one
-    in minus lane p where the column's product on pair p is -1, and one in
-    plus lane p where it is +1.  `masks[lane]` is the candidate bitset that
-    leaves `lane` alone, and `root` the lanes of the set {1}.
+    dict it maps such a j to its column's inc, built from the pair-sign
+    table of the balanced columns when first asked for; `step(j)` is that
+    inc as byte lanes.  `masks[lane]` is the candidate bitset that leaves
+    `lane` alone, and `root` the lanes of the set {1}.
     """
 
-    __slots__ = ("columns", "table", "half", "plus_ones", "masks", "root", "high", "everything")
+    __slots__ = ("columns", "table", "masks", "root", "high", "everything", "steps")
 
     def __init__(self, m: int):
         super().__init__()
         balanced = _balanced_columns(m)
         self.columns = (1, *balanced)
         self.table = _pair_block(m, balanced)
-        self.half = 8 * len(self.table)  # bit offset of the minus lanes
-        self.plus_ones = (1 << self.half) // 255  # a one in every plus lane
-        every_lane = (1 << 2 * self.half) // 255
-        self.root = (128 - m // 2) * every_lane + self.plus_ones
+        every_lane = (1 << 16 * len(self.table)) // 255
+        plus_ones = (1 << 8 * len(self.table)) // 255  # a one in every plus lane
+        self.root = (128 - m // 2) * every_lane + plus_ones
         self.high = 128 * every_lane
         self.everything = (1 << len(balanced)) - 1
         minus = [int.from_bytes(np.packbits(row < 0, bitorder="little").tobytes(), "little")
                  for row in self.table]
         self.masks = minus + [self.everything ^ bits for bits in minus]
+        self.steps = {}
 
     def __missing__(self, j: int) -> int:
-        minus = int.from_bytes(self.table[:, j - 1].tobytes().translate(_MINUS_LANE), "little")
-        step = self[j] = (minus << self.half) - minus + self.plus_ones
-        return step
+        pairs = len(self.table)
+        minus = int(self.table[::-1, j - 1].tobytes().translate(_MINUS_BITS), 2)  # bit p: -1 on p
+        inc = self[j] = minus << pairs | minus ^ (1 << pairs) - 1
+        return inc
+
+    def step(self, j: int) -> int:
+        if j not in self.steps:
+            digits = f"{self[j]:0{len(self.masks)}b}".encode()  # lane 2P - 1 first
+            self.steps[j] = int.from_bytes(digits.translate(_LANE_BYTES), "big")
+        return self.steps[j]
 
 
 def _walk(lanes: _Lanes, state: int, candidates: int, remaining: int, run: _Run) -> None:
     """Walk the subtree below `run.chosen`, whose count lanes are `state`.
 
     `candidates` are the balanced columns above the last chosen one that
-    pass this node's test, at least `remaining` >= 1 of them.
+    pass this node's test, at least `remaining` >= 1 of them.  Child j newly
+    saturates the lanes ``lanes[j] & near``; its own are built if it is walked.
     """
     high, masks, columns, chosen = lanes.high, lanes.masks, lanes.columns, run.chosen
-    now, width, need, left = state & high, len(masks), remaining - 1, candidates.bit_count()
+    need, left = remaining - 1, candidates.bit_count()
+    near = int(state.to_bytes(len(masks), "big").translate(_NEAR_BITS), 2)  # bit k: lane k
     narrow = len(columns) <= 1024  # a popcount costs 15 ANDs at m = 20, 1.5 at m = 12
     while left >= remaining:
         low = candidates & -candidates
@@ -282,19 +284,17 @@ def _walk(lanes: _Lanes, state: int, candidates: int, remaining: int, run: _Run)
         left -= 1
         chosen.append(columns[j])
         run.visit()
-        child = state + lanes[j]
         if need:
-            row = ((child & high) ^ now).to_bytes(width, "little")  # 128 at each new lane
-            survivors, p = candidates, row.find(128)
-            while p >= 0 and survivors:
-                survivors &= masks[p]
+            fill, survivors = lanes[j] & near, candidates  # the lanes the child newly saturates
+            while fill and survivors:
+                survivors &= masks[(fill & -fill).bit_length() - 1]
                 if narrow and survivors.bit_count() < need:
                     break
-                p = row.find(128, p + 1)
+                fill &= fill - 1
             else:
                 if survivors.bit_count() >= need:
-                    _walk(lanes, child, survivors, need, run)
-        elif child == high:
+                    _walk(lanes, state + lanes.step(j), survivors, need, run)
+        elif state + lanes.step(j) == high:
             run.emit(tuple(chosen))
         chosen.pop()
 

@@ -240,6 +240,34 @@ def test_a_long_bad_token_gives_one_short_error_line(capsys, tmp_path, command, 
     assert len(err.encode()) < 200
 
 
+@pytest.mark.parametrize(
+    ("name", "text", "what"),
+    [("v.txt", "1 x 1 1", "weight"), ("v.json", '{"m": 2, "v": ["1", "x"]}', '"v" entry')],
+    ids=["plain", "json"],
+)
+def test_in_span_of_a_malformed_weight_names_the_file(capsys, tmp_path, name, text, what):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "in-span", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: {what}: malformed exact token 'x'\n"
+
+
+def test_construct_with_a_malformed_shift_names_the_option(capsys):
+    code, out, err = run(capsys, "construct", "2", "1", "--shift=x")
+    assert (code, out) == (2, "")
+    assert err == "error: --shift: malformed exact token 'x'\n"
+
+
+def test_in_span_of_a_long_non_string_json_entry_gives_one_short_error_line(capsys, tmp_path):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"m": 1, "v": [{"a": "x" * 100_000}, "1"]}))
+    code, out, err = run(capsys, "in-span", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f'error: {path}: "v" entry must be a rational token or an integer')
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+
+
 @pytest.mark.parametrize("m", (0, -1))
 def test_in_span_of_an_order_below_one_is_an_input_error(capsys, tmp_path, m):
     path = tmp_path / "v.json"

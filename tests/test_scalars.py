@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hadamardesque import FormatError, SqrtRational, format_scalar, parse_scalar
+from hadamardesque.scalars import _shown
 
 
 def test_sqrt_of_perfect_square_collapses_to_fraction():
@@ -117,6 +118,21 @@ def test_refused_long_tokens_are_shortened(token, exact, message):
 def test_refused_tokens_of_500_characters_are_echoed_in_full(token):
     with pytest.raises(FormatError, match=f"token {token!r}$"):
         parse_scalar(token)
+
+
+@pytest.mark.parametrize(
+    ("value", "shown"),
+    [
+        (1.5, "1.5"),
+        (None, "None"),
+        ({"a": "x" * 480}, repr({"a": "x" * 480})),
+        ({"a": "x" * 100_000}, "{'a': 'xxxxxxxxxxxxx... (100009 characters)"),
+        (["1"] * 200, "['1', '1', '1', '1',... (1000 characters)"),
+    ],
+    ids=["float", "none", "short-dict", "long-dict", "long-list"],
+)
+def test_non_string_values_are_shown_by_their_repr(value, shown):
+    assert _shown(value) == shown
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "auto"])

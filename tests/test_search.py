@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import time
 
 import numpy as np
@@ -134,6 +135,62 @@ def test_walk_matches_the_literal_pair_sum_dfs(monkeypatch, m, node_limit, force
     assert (walk, emitted) == search_walk(m, force_first_column, node_limit)
     if node_limit is not None:
         assert len(walk) == node_limit
+
+
+def test_walk_matches_the_literal_pair_sum_dfs_on_wide_bitsets(monkeypatch):
+    # Over 1,024 candidate bits a node tests its survivors for zero, not by count.
+    assert len(search._Lanes(14).columns) > 1024
+    walk, emitted = _engine_walk(monkeypatch, 14, True, 300)
+    assert (walk, emitted) == search_walk(14, True, 300)
+    assert len(walk) == 300
+
+
+def _literal_products(m):
+    """products[c - 1][p]: truth column c's literal product on the p-th row pair, pair order."""
+    truth = truth_by_recursion(m)
+    pairs = [(i, j) for j in range(1, m) for i in range(j)]
+    return [tuple(truth[i][c] * truth[j][c] for i, j in pairs) for c in range(len(truth[0]))]
+
+
+@pytest.mark.parametrize("m", (4, 6, 8, 10, 12))
+def test_column_incs_and_steps_match_the_literal_products(m):
+    lanes, products = search._Lanes(m), _literal_products(m)
+    pairs = len(products[0])
+    for j, c in enumerate(lanes.columns[1:], start=1):
+        lanes_hit = [p if s == 1 else pairs + p for p, s in enumerate(products[c - 1])]
+        assert lanes[j] == sum(1 << k for k in lanes_hit)
+        assert lanes.step(j).to_bytes(2 * pairs, "little") == bytes(
+            k in lanes_hit for k in range(2 * pairs))
+
+
+@pytest.mark.parametrize(
+    ("m", "node_limit"), [(4, None), (6, None), (8, 2_000), (10, 2_000), (12, 2_000)]
+)
+def test_near_lanes_match_counts_recomputed_from_the_chosen_columns(monkeypatch, m, node_limit):
+    products = _literal_products(m)
+    pairs, checked = len(products[0]), []
+    visit = search._Run.visit
+
+    def checking_visit(run):
+        visit(run)
+        node = sys._getframe(1)  # the node testing the child just pushed
+        if node.f_code is not search._walk.__code__:
+            return  # the root, visited by find_hadamard_column_sets
+        *parent, child = run.chosen
+        counts = [sum(products[c - 1][p] == sign for c in parent)
+                  for sign in (1, -1) for p in range(pairs)]
+        near = sum(1 << k for k, count in enumerate(counts) if count == m // 2 - 1)
+        hits = sum(1 << p if s == 1 else 1 << pairs + p for p, s in enumerate(products[child - 1]))
+        local, biased = node.f_locals, bytes(128 - m // 2 + n for n in counts)
+        assert local["state"].to_bytes(2 * pairs, "little") == biased
+        assert local["near"] == near
+        assert local["lanes"][local["j"]] & local["near"] == hits & near
+        checked.append(child)
+
+    monkeypatch.setattr(search._Run, "visit", checking_visit)
+    report = find_hadamard_column_sets(m, options=SearchOptions(node_limit=node_limit,
+                                                                force_first_column=True))
+    assert len(checked) == report.nodes - 1
 
 
 def test_node_limit_partial():
