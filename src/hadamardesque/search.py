@@ -45,27 +45,27 @@ finds it, T_x(N) for every x with x & H == 0 in ascending order (x = 0 is N
 itself), and emits every solution once.  The node count and node_limit
 count the normalized walk in both modes.
 
-The counts are byte lanes of one Python int: plus lane p is byte p and
-minus lane p is byte P + p, pairs in pair_index order.  Every lane starts
-at the bias 128 - m/2 (positive for every order the table budget admits),
-so it stays within [128 - m/2, 128], no carry ever crosses into the next
-lane, and it reads 128 exactly when its count is m/2: the lane is
-*saturated*, a tight pair of the pair-sum view (plus = m/2 is s = r,
-minus = m/2 is s = -r), and every later column must then have product -1
-(plus lane) or +1 (minus lane) on that pair.  Counts never fall, so a
-saturated lane stays saturated in every child, and a column that passes a
-child's test passed its parent's too.  Candidates are therefore one
-Python-int bitset over the balanced columns, bit j-1 standing for the
-j-th of them in ascending order: a child takes its parent's surviving bits
-above its own column and ANDs in, for each lane it newly saturated, the
-mask of the columns that leave that lane alone: ``minus[p]`` (the columns
-whose product on p is -1) for plus lane p, its complement ``plus[p]`` for
-minus lane p.  Those lanes are the ones its column adds to that its parent
-holds at m/2 - 1: one AND of two 2P-bit masks, bit k for lane k, the
-column's *inc* and the parent's *near*.  A child's own lanes, its parent's
-plus its column's *step* (column 1's adds one to every plus lane), are
-built only if it is walked or ends a set, a solution exactly when every
-lane reads 128.
+The counts sit in 2P lanes, plus lane p and minus lane P + p for pairs p
+in pair_index order, and bit k of a lane mask stands for lane k.  A node
+keeps them as *count levels*, m/2 + 1 lane masks: levels[c] holds the
+lanes whose count is c, and the set {1} has its minus lanes at level 0 and
+its plus lanes at level 1.  A lane at level m/2 is *saturated*, a tight
+pair of the pair-sum view (plus = m/2 is s = r, minus = m/2 is s = -r),
+and every later column must then have product -1 (plus lane) or +1 (minus
+lane) on that pair.  Counts never fall, so a saturated lane stays
+saturated in every child, and a column that passes a child's test passed
+its parent's too.  Candidates are therefore one Python-int bitset over the
+balanced columns, bit j-1 standing for the j-th of them in ascending
+order: a child takes its parent's surviving bits above its own column and
+ANDs in, for each lane it newly saturated, the mask of the columns that
+leave that lane alone: ``minus[p]`` (the columns whose product on p is -1)
+for plus lane p, its complement ``plus[p]`` for minus lane p.  Those lanes
+are the ones its column adds to, the column's *inc*, that its parent holds
+at level m/2 - 1, the parent's *near*: one AND of two lane masks.  No
+count passes m/2, as no candidate adds to a saturated lane.  A walked
+child moves each lane of its inc up one level, and a child that ends a set
+is a solution exactly when all 2P lanes then read m/2: those of its
+parent's top level and the inc lanes of its parent's near.
 
 The room bound counts survivors.  A node with r columns to go takes its
 next candidate as a child only while at least r candidates are left, that
@@ -97,7 +97,8 @@ import numpy as np
 
 from .classify import is_hadamard
 from .dense import DenseMatrix, _sign_matrix
-from .walsh import _check_columns, _check_entries, _pair_block, _pair_sums, _sign_block, pair_count
+from .walsh import (_check_columns, _check_entries, _check_order, _pair_block, _pair_sums,
+                    _sign_block, pair_count)
 
 ENGINE_TABLE_BUDGET = 1 << 27  # pair-sign table entries over the balanced columns (int8 bytes)
 
@@ -139,6 +140,7 @@ class SearchReport:
 
 def column_set_matrix(m: int, columns) -> DenseMatrix:
     """Dense +-1 matrix whose columns are the given truth columns."""
+    _check_order(m)
     return _sign_matrix(_sign_block(m, sorted(columns)) < 0)
 
 
@@ -221,37 +223,34 @@ class _Run:
 
 
 _MINUS_BITS = bytes.maketrans(b"\x01\xff", b"01")  # int8 product +1 -> "0", -1 -> "1"
-_LANE_BYTES = bytes.maketrans(b"01", b"\x00\x01")  # binary digit -> byte lane
-_NEAR_BITS = bytes(49 if b == 127 else 48 for b in range(256))  # lane m/2 - 1 -> "1", else "0"
+_NARROW_BITS = 1024  # columns up to which a popcount costs about one AND (15 at m = 20)
 
 
 class _Lanes(dict):
-    """The count lanes of one even order: columns, masks, bias, high bits and steps.
+    """The count lanes of one even order: columns, masks and root levels.
 
     `columns` is column 1 followed by the balanced columns in ascending
     order, and bit j-1 of a candidate bitset stands for `columns[j]`.  As a
     dict it maps such a j to its column's inc, built from the pair-sign
-    table of the balanced columns when first asked for; `step(j)` is that
-    inc as byte lanes.  `masks[lane]` is the candidate bitset that leaves
-    `lane` alone, and `root` the lanes of the set {1}.
+    table of the balanced columns when first asked for.  `masks[lane]` is
+    the candidate bitset that leaves `lane` alone, `root` the count levels
+    of the set {1} and `full` the mask of all 2P lanes.
     """
 
-    __slots__ = ("columns", "table", "masks", "root", "high", "everything", "steps")
+    __slots__ = ("columns", "table", "masks", "root", "full", "everything")
 
     def __init__(self, m: int):
         super().__init__()
         balanced = _balanced_columns(m)
         self.columns = (1, *balanced)
         self.table = _pair_block(m, balanced)
-        every_lane = (1 << 16 * len(self.table)) // 255
-        plus_ones = (1 << 8 * len(self.table)) // 255  # a one in every plus lane
-        self.root = (128 - m // 2) * every_lane + plus_ones
-        self.high = 128 * every_lane
+        plus = (1 << len(self.table)) - 1  # column 1 adds to every plus lane
+        self.root = [plus << len(self.table), plus] + [0] * (m // 2 - 1)
+        self.full = self.root[0] | plus
         self.everything = (1 << len(balanced)) - 1
         minus = [int.from_bytes(np.packbits(row < 0, bitorder="little").tobytes(), "little")
                  for row in self.table]
         self.masks = minus + [self.everything ^ bits for bits in minus]
-        self.steps = {}
 
     def __missing__(self, j: int) -> int:
         pairs = len(self.table)
@@ -259,24 +258,18 @@ class _Lanes(dict):
         inc = self[j] = minus << pairs | minus ^ (1 << pairs) - 1
         return inc
 
-    def step(self, j: int) -> int:
-        if j not in self.steps:
-            digits = f"{self[j]:0{len(self.masks)}b}".encode()  # lane 2P - 1 first
-            self.steps[j] = int.from_bytes(digits.translate(_LANE_BYTES), "big")
-        return self.steps[j]
 
-
-def _walk(lanes: _Lanes, state: int, candidates: int, remaining: int, run: _Run) -> None:
-    """Walk the subtree below `run.chosen`, whose count lanes are `state`.
+def _walk(lanes: _Lanes, levels: list[int], candidates: int, remaining: int, run: _Run) -> None:
+    """Walk the subtree below `run.chosen`, whose count levels are `levels`.
 
     `candidates` are the balanced columns above the last chosen one that
     pass this node's test, at least `remaining` >= 1 of them.  Child j newly
-    saturates the lanes ``lanes[j] & near``; its own are built if it is walked.
+    saturates the lanes ``lanes[j] & near``, near being level m/2 - 1; its
+    own levels are built if it is walked.
     """
-    high, masks, columns, chosen = lanes.high, lanes.masks, lanes.columns, run.chosen
-    need, left = remaining - 1, candidates.bit_count()
-    near = int(state.to_bytes(len(masks), "big").translate(_NEAR_BITS), 2)  # bit k: lane k
-    narrow = len(columns) <= 1024  # a popcount costs 15 ANDs at m = 20, 1.5 at m = 12
+    masks, columns, chosen = lanes.masks, lanes.columns, run.chosen
+    need, left, near = remaining - 1, candidates.bit_count(), levels[-2]
+    narrow = len(columns) <= _NARROW_BITS
     while left >= remaining:
         low = candidates & -candidates
         j = low.bit_length()
@@ -285,7 +278,8 @@ def _walk(lanes: _Lanes, state: int, candidates: int, remaining: int, run: _Run)
         chosen.append(columns[j])
         run.visit()
         if need:
-            fill, survivors = lanes[j] & near, candidates  # the lanes the child newly saturates
+            inc = lanes[j]
+            fill, survivors = inc & near, candidates  # the lanes the child newly saturates
             while fill and survivors:
                 survivors &= masks[(fill & -fill).bit_length() - 1]
                 if narrow and survivors.bit_count() < need:
@@ -293,8 +287,12 @@ def _walk(lanes: _Lanes, state: int, candidates: int, remaining: int, run: _Run)
                 fill &= fill - 1
             else:
                 if survivors.bit_count() >= need:
-                    _walk(lanes, state + lanes.step(j), survivors, need, run)
-        elif state + lanes.step(j) == high:
+                    child, below, keep = [], 0, ~inc
+                    for level in levels:  # each lane of inc moves up one level
+                        child.append(below & inc | level & keep)
+                        below = level
+                    _walk(lanes, child, survivors, need, run)
+        elif levels[-1] | near & lanes[j] == lanes.full:
             run.emit(tuple(chosen))
         chosen.pop()
 
@@ -351,6 +349,7 @@ def verify_column_set(m: int, columns) -> bool:
     the direct Hadamard test on the dense matrix; the latter two must agree
     whenever the size is right, so a mismatch raises.
     """
+    _check_order(m)
     cols = sorted(columns)
     if len(set(cols)) != len(cols):
         raise ValueError("column set contains duplicates")

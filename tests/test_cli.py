@@ -447,6 +447,13 @@ def test_verify_set(capsys):
     assert (code, out) == (0, "false\n")
 
 
+@pytest.mark.parametrize("m", ("0", "-2"))
+def test_verify_set_of_a_nonpositive_order_is_an_input_error(capsys, m):
+    code, out, err = run(capsys, "verify-set", m, "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: order m must be a positive integer, got {m}\n"
+
+
 def test_missing_file_is_argument_error(capsys):
     code, _, err = run(capsys, "crv", "/nonexistent/file.txt")
     assert code == 2

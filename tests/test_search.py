@@ -1,7 +1,9 @@
+import functools
 import json
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,23 +109,35 @@ def test_solutions_stream_before_the_search_ends(monkeypatch):
 
 
 def _engine_walk(monkeypatch, m, force_first_column, node_limit=None):
-    """The engine's run as search_walk reports it: node tuples and emission counts."""
-    visits, walk, emitted = [], [], []
-    visit = search._Run.visit
+    """The engine's run as search_walk reports it: node tuples and emission counts.
+
+    The third item holds the report, without its elapsed time, and the
+    chosen columns and candidates of every node the walk enters, each
+    entered with room for its set.
+    """
+    visits, walk, emitted, entered = [], [], [], []
+    visit, walk_below = search._Run.visit, search._walk
 
     def counting_visit(run):
         visit(run)
         visits.append(run.nodes)
         walk.append(tuple(run.chosen))
 
-    monkeypatch.setattr(search._Run, "visit", counting_visit)
-    options = SearchOptions(node_limit=node_limit, force_first_column=force_first_column)
-    report = find_hadamard_column_sets(
-        m, options=options, on_solution=lambda columns: emitted.append((columns, visits[-1]))
-    )
+    def entering_walk(lanes, levels, candidates, remaining, run):
+        assert candidates.bit_count() >= remaining
+        entered.append((tuple(run.chosen), candidates))
+        walk_below(lanes, levels, candidates, remaining, run)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search._Run, "visit", counting_visit)
+        patch.setattr(search, "_walk", entering_walk)
+        options = SearchOptions(node_limit=node_limit, force_first_column=force_first_column)
+        report = find_hadamard_column_sets(
+            m, options=options, on_solution=lambda columns: emitted.append((columns, visits[-1]))
+        )
     assert report.nodes == len(visits) == len(walk)
     assert report.solutions == tuple(columns for columns, _ in emitted)
-    return walk, emitted
+    return walk, emitted, (dict(report.to_record(), elapsed=None), entered)
 
 
 @pytest.mark.parametrize("force_first_column", [False, True])
@@ -131,7 +145,7 @@ def _engine_walk(monkeypatch, m, force_first_column, node_limit=None):
     ("m", "node_limit"), [(4, None), (6, None), (8, 4_000), (10, 3_000), (12, 2_000)]
 )
 def test_walk_matches_the_literal_pair_sum_dfs(monkeypatch, m, node_limit, force_first_column):
-    walk, emitted = _engine_walk(monkeypatch, m, force_first_column, node_limit)
+    walk, emitted, _ = _engine_walk(monkeypatch, m, force_first_column, node_limit)
     assert (walk, emitted) == search_walk(m, force_first_column, node_limit)
     if node_limit is not None:
         assert len(walk) == node_limit
@@ -139,10 +153,30 @@ def test_walk_matches_the_literal_pair_sum_dfs(monkeypatch, m, node_limit, force
 
 def test_walk_matches_the_literal_pair_sum_dfs_on_wide_bitsets(monkeypatch):
     # Over 1,024 candidate bits a node tests its survivors for zero, not by count.
-    assert len(search._Lanes(14).columns) > 1024
-    walk, emitted = _engine_walk(monkeypatch, 14, True, 300)
+    assert len(search._Lanes(14).columns) > search._NARROW_BITS == 1024
+    walk, emitted, _ = _engine_walk(monkeypatch, 14, True, 300)
     assert (walk, emitted) == search_walk(14, True, 300)
     assert len(walk) == 300
+
+
+@pytest.mark.parametrize(
+    ("m", "force_first_column", "node_limit", "narrow_bits"),
+    [
+        (8, False, None, 0),
+        (8, True, None, 0),
+        (10, False, 50_000, 0),
+        (12, True, 20_000, 0),
+        (14, True, 20_000, 1 << 30),
+    ],
+)
+def test_wide_and_narrow_survivor_tests_take_the_same_walk(
+    monkeypatch, m, force_first_column, node_limit, narrow_bits
+):
+    # Counting after each AND and counting once at the end are two routes to
+    # the same decisions: the same nodes, solutions and report either way.
+    default = _engine_walk(monkeypatch, m, force_first_column, node_limit)
+    monkeypatch.setattr(search, "_NARROW_BITS", narrow_bits)
+    assert _engine_walk(monkeypatch, m, force_first_column, node_limit) == default
 
 
 def _literal_products(m):
@@ -153,23 +187,41 @@ def _literal_products(m):
 
 
 @pytest.mark.parametrize("m", (4, 6, 8, 10, 12))
-def test_column_incs_and_steps_match_the_literal_products(m):
+def test_column_incs_match_the_literal_products(m):
     lanes, products = search._Lanes(m), _literal_products(m)
     pairs = len(products[0])
     for j, c in enumerate(lanes.columns[1:], start=1):
         lanes_hit = [p if s == 1 else pairs + p for p, s in enumerate(products[c - 1])]
         assert lanes[j] == sum(1 << k for k in lanes_hit)
-        assert lanes.step(j).to_bytes(2 * pairs, "little") == bytes(
-            k in lanes_hit for k in range(2 * pairs))
 
 
-@pytest.mark.parametrize(
-    ("m", "node_limit"), [(4, None), (6, None), (8, 2_000), (10, 2_000), (12, 2_000)]
-)
-def test_near_lanes_match_counts_recomputed_from_the_chosen_columns(monkeypatch, m, node_limit):
-    products = _literal_products(m)
-    pairs, checked = len(products[0]), []
-    visit = search._Run.visit
+def _products_by_bits(m):
+    """products(c): truth column c's product on each row pair, pair order, without a table.
+
+    Row k >= 2 of column c is -1 when bit k-2 of c - 1 is set, the rule
+    oracles.column_index_of_signs inverts.
+    """
+    pairs = [(i, j) for j in range(1, m) for i in range(j)]
+
+    @functools.cache
+    def products(c):
+        signs = [1] + [-1 if (c - 1) >> k & 1 else 1 for k in range(m - 1)]
+        return tuple(signs[i] * signs[j] for i, j in pairs)
+
+    return products
+
+
+def _check_levels_at_every_node(m, node_limit, products):
+    """Run a normalized search, checking every node's count levels.
+
+    `products(c)` is truth column c's product on each row pair.  Whenever a
+    node pushes a child, its levels[c] must hold exactly the lanes whose
+    count over the node's chosen columns is c, near must be its level
+    m/2 - 1, and the child's inc must meet near in the lanes the child adds to.
+    Returns the number of children checked and of those tested against a
+    nonempty near.
+    """
+    checked, visit = [], search._Run.visit
 
     def checking_visit(run):
         visit(run)
@@ -177,20 +229,47 @@ def test_near_lanes_match_counts_recomputed_from_the_chosen_columns(monkeypatch,
         if node.f_code is not search._walk.__code__:
             return  # the root, visited by find_hadamard_column_sets
         *parent, child = run.chosen
-        counts = [sum(products[c - 1][p] == sign for c in parent)
+        pairs = len(products(child))
+        counts = [sum(products(c)[p] == sign for c in parent)
                   for sign in (1, -1) for p in range(pairs)]
-        near = sum(1 << k for k, count in enumerate(counts) if count == m // 2 - 1)
-        hits = sum(1 << p if s == 1 else 1 << pairs + p for p, s in enumerate(products[child - 1]))
-        local, biased = node.f_locals, bytes(128 - m // 2 + n for n in counts)
-        assert local["state"].to_bytes(2 * pairs, "little") == biased
-        assert local["near"] == near
-        assert local["lanes"][local["j"]] & local["near"] == hits & near
-        checked.append(child)
+        levels = [sum(1 << k for k, count in enumerate(counts) if count == level)
+                  for level in range(m // 2 + 1)]
+        hits = sum(1 << p if s == 1 else 1 << pairs + p for p, s in enumerate(products(child)))
+        local = node.f_locals
+        assert local["levels"] == levels
+        assert local["near"] == levels[-2]
+        assert local["lanes"][local["j"]] & local["near"] == hits & levels[-2]
+        checked.append(bool(levels[-2]))
 
-    monkeypatch.setattr(search._Run, "visit", checking_visit)
-    report = find_hadamard_column_sets(m, options=SearchOptions(node_limit=node_limit,
-                                                                force_first_column=True))
+    search._Run.visit = checking_visit
+    try:
+        report = find_hadamard_column_sets(m, options=SearchOptions(node_limit=node_limit,
+                                                                    force_first_column=True))
+    finally:
+        search._Run.visit = visit
     assert len(checked) == report.nodes - 1
+    return len(checked), sum(checked)
+
+
+@pytest.mark.parametrize(
+    ("m", "node_limit"), [(4, None), (6, None), (8, 2_000), (10, 2_000), (12, 2_000), (22, 300)]
+)
+def test_near_lanes_match_counts_recomputed_from_the_chosen_columns(m, node_limit):
+    if m <= 12:
+        table = _literal_products(m)
+        checked, near = _check_levels_at_every_node(m, node_limit, lambda c: table[c - 1])
+        assert 0 < near <= checked
+        return
+    # The largest admitted order: its table build runs under the address-space
+    # guard, and near lanes first appear at its tenth node, so 290 of the 299
+    # children are tested against a nonempty near.
+    code = (
+        f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from test_search import _check_levels_at_every_node, _products_by_bits\n"
+        f"print(*_check_levels_at_every_node({m}, {node_limit}, _products_by_bits({m})))\n"
+    )
+    result = run_limited(code, limit=2 * GIB)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "299 290\n", "")
 
 
 def test_node_limit_partial():
@@ -336,6 +415,14 @@ def test_verify_column_set():
         verify_column_set(4, (1, 1, 6, 7))
     with pytest.raises(IndexError):
         verify_column_set(4, (1, 4, 6, 9))
+
+
+@pytest.mark.parametrize("m", (0, -2))
+@pytest.mark.parametrize("columns", ((), (1,)))
+def test_column_set_functions_check_the_order_first(m, columns):
+    for check in (verify_column_set, column_set_matrix):
+        with pytest.raises(ValueError, match=f"order m must be a positive integer, got {m}"):
+            check(m, columns)
 
 
 def test_verify_column_set_order_32():
