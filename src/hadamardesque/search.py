@@ -65,7 +65,11 @@ at level m/2 - 1, the parent's *near*: one AND of two lane masks.  No
 count passes m/2, as no candidate adds to a saturated lane.  A walked
 child moves each lane of its inc up one level, and a child that ends a set
 is a solution exactly when all 2P lanes then read m/2: those of its
-parent's top level and the inc lanes of its parent's near.
+parent's top level and the inc lanes of its parent's near.  No table is
+built: a product is -1 where just one row of its pair is negative, so
+minus[p] of pair (i, k) is R_i XOR R_k, R_k holding the balanced columns
+negative on row k (R_1 = 0), and a column's inc is the plus lanes XOR
+touch[k], both lanes of each pair on row k, for each row k it negates.
 
 The room bound counts survivors.  A node with r columns to go takes its
 next candidate as a child only while at least r candidates are left, that
@@ -92,15 +96,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
 from .classify import is_hadamard
 from .dense import DenseMatrix, _sign_matrix
-from .walsh import (_check_columns, _check_entries, _check_order, _pair_block, _pair_sums,
-                    _sign_block, pair_count)
+from .walsh import _check_entries, _pair_sums, _sign_block, _sorted_columns, pair_count
 
-ENGINE_TABLE_BUDGET = 1 << 27  # pair-sign table entries over the balanced columns (int8 bytes)
+ENGINE_TABLE_BUDGET = 1 << 30  # bits of the 2P lane masks over the balanced columns
 
 
 @dataclass(frozen=True)
@@ -110,10 +114,14 @@ class SearchOptions:
     force_first_column: bool = False
 
     def __post_init__(self):
-        for name in ("node_limit", "time_limit"):
-            value = getattr(self, name)
-            if value is not None and not value >= 0:  # also rejects NaN
-                raise ValueError(f"{name} must be >= 0, got {value}")
+        _check_budget("node_limit", self.node_limit, Integral, 0)
+        _check_budget("time_limit", self.time_limit, Real, 0)
+
+
+def _check_budget(name: str, value, kind: type, least: int) -> None:
+    """Refuse a budget that is set but is not a `kind` >= `least`; bool and NaN are neither."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, kind) or not value >= least):
+        raise ValueError(f"{name} must be {kind.__name__.lower()} >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -140,23 +148,21 @@ class SearchReport:
 
 def column_set_matrix(m: int, columns) -> DenseMatrix:
     """Dense +-1 matrix whose columns are the given truth columns."""
-    _check_order(m)
-    return _sign_matrix(_sign_block(m, sorted(columns)) < 0)
+    return _sign_matrix(_sign_block(m, _sorted_columns(m, columns)) < 0)
 
 
 def _balanced_columns(m: int) -> list[int]:
-    """The columns whose pattern has m/2 bits set, ascending, within the table budget.
+    """The columns whose pattern has m/2 bits set, ascending, within the lane-mask budget.
 
-    Their pair-sign table has pairs * C(m-1, m/2) entries.  The central
-    binomial is the largest of the m binomials C(m-1, k), which sum to
-    2^(m-1), so the table has at least (m-1)/2 * 2^(m-1) entries.  An order
-    whose 2^(m-1) is over the budget is refused on that bound, by bit
-    length, before math.comb builds a huge int.
+    The 2P lane masks have m(m-1) * C(m-1, m/2) bits, at least (m-1) * 2^(m-1)
+    as the central binomial is the largest of the m binomials C(m-1, k),
+    which sum to 2^(m-1).  An order whose 2^(m-1) is over the budget is
+    refused on that bound, by bit length, before math.comb builds a huge int.
     """
-    what = f"pair-sign table of order {m}"
+    what = f"lane masks of order {m}"
     if m - 1 >= ENGINE_TABLE_BUDGET.bit_length():
-        _check_entries(f"{what} (bounded below)", (m - 1) // 2, m - 1, ENGINE_TABLE_BUDGET)
-    _check_entries(what, pair_count(m) * math.comb(m - 1, m // 2), 0, ENGINE_TABLE_BUDGET)
+        _check_entries(f"{what} (bounded below)", m - 1, m - 1, ENGINE_TABLE_BUDGET)
+    _check_entries(what, 2 * pair_count(m) * math.comb(m - 1, m // 2), 0, ENGINE_TABLE_BUDGET)
     # Gosper's hack: the next larger int with as many bits set as p.
     p, end, columns = (1 << m // 2) - 1, 1 << m - 1, []
     while p < end:
@@ -222,7 +228,6 @@ class _Run:
                 return
 
 
-_MINUS_BITS = bytes.maketrans(b"\x01\xff", b"01")  # int8 product +1 -> "0", -1 -> "1"
 _NARROW_BITS = 1024  # columns up to which a popcount costs about one AND (15 at m = 20)
 
 
@@ -231,32 +236,35 @@ class _Lanes(dict):
 
     `columns` is column 1 followed by the balanced columns in ascending
     order, and bit j-1 of a candidate bitset stands for `columns[j]`.  As a
-    dict it maps such a j to its column's inc, built from the pair-sign
-    table of the balanced columns when first asked for.  `masks[lane]` is
-    the candidate bitset that leaves `lane` alone, `root` the count levels
-    of the set {1} and `full` the mask of all 2P lanes.
+    dict it maps such a j to its column's inc, built from `touch` when first
+    asked for.  `masks[lane]` is the candidate bitset that leaves `lane` alone,
+    `root` the count levels of the set {1} and `full` the mask of all 2P lanes.
     """
 
-    __slots__ = ("columns", "table", "masks", "root", "full", "everything")
+    __slots__ = ("columns", "touch", "masks", "root", "full", "everything")
 
     def __init__(self, m: int):
         super().__init__()
         balanced = _balanced_columns(m)
         self.columns = (1, *balanced)
-        self.table = _pair_block(m, balanced)
-        plus = (1 << len(self.table)) - 1  # column 1 adds to every plus lane
-        self.root = [plus << len(self.table), plus] + [0] * (m // 2 - 1)
+        patterns = np.array(balanced, np.int64) - 1
+        rows = [0] + [int.from_bytes(np.packbits(patterns >> k & 1, bitorder="little").tobytes(),
+                                     "little") for k in range(m - 1)]
+        pairs = [(i, k) for k in range(1, m) for i in range(k)]  # pair_index order, rows from 0
+        self.touch = [sum(1 << p for p, pair in enumerate(pairs * 2) if r in pair) for r in range(m)]
+        plus = (1 << len(pairs)) - 1  # column 1 adds to every plus lane
+        self.root = [plus << len(pairs), plus] + [0] * (m // 2 - 1)
         self.full = self.root[0] | plus
         self.everything = (1 << len(balanced)) - 1
-        minus = [int.from_bytes(np.packbits(row < 0, bitorder="little").tobytes(), "little")
-                 for row in self.table]
+        minus = [rows[i] ^ rows[k] for i, k in pairs]
         self.masks = minus + [self.everything ^ bits for bits in minus]
 
     def __missing__(self, j: int) -> int:
-        pairs = len(self.table)
-        minus = int(self.table[::-1, j - 1].tobytes().translate(_MINUS_BITS), 2)  # bit p: -1 on p
-        inc = self[j] = minus << pairs | minus ^ (1 << pairs) - 1
-        return inc
+        touch, pattern, inc = self.touch, self.columns[j] - 1, self.root[1]  # column 1's inc
+        while pattern:  # a negated row moves each of its pairs from the plus to the minus lane
+            inc ^= touch[(pattern & -pattern).bit_length()]
+            pattern &= pattern - 1
+        return self.setdefault(j, inc)
 
 
 def _walk(lanes: _Lanes, levels: list[int], candidates: int, remaining: int, run: _Run) -> None:
@@ -310,14 +318,13 @@ def find_hadamard_column_sets(m: int, limit: int | None = None,
     verify_column_set's pair sums vanish, and its dense matrix passes the
     direct Hadamard test.  The report says whether the tree was fully
     explored and which budget (if any) cut the run short.  Odd orders end
-    at the root; even orders whose pair-sign table of balanced columns
-    exceeds ENGINE_TABLE_BUDGET (m >= 24) raise ResourceLimitError.
+    at the root; even orders whose lane masks over the balanced columns
+    exceed ENGINE_TABLE_BUDGET bits (m >= 26) raise ResourceLimitError.
     """
     opts = options or SearchOptions()
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
-    if limit is not None and limit < 1:
-        raise ValueError(f"solution limit must be >= 1, got {limit}")
+    _check_budget("limit", limit, Integral, 1)
     started = time.monotonic()
     deadline = None if opts.time_limit is None else started + opts.time_limit
     run = _Run(m, opts.force_first_column, opts.node_limit, deadline, limit, on_solution)
@@ -349,11 +356,9 @@ def verify_column_set(m: int, columns) -> bool:
     the direct Hadamard test on the dense matrix; the latter two must agree
     whenever the size is right, so a mismatch raises.
     """
-    _check_order(m)
-    cols = sorted(columns)
+    cols = _sorted_columns(m, columns)
     if len(set(cols)) != len(cols):
         raise ValueError("column set contains duplicates")
-    _check_columns(m, cols)
     if len(cols) != m:
         return False
     span_ok = not any(_pair_sums(m, cols, [1] * len(cols)))

@@ -3,8 +3,9 @@
 The truth table of order m is the m x 2^(m-1) matrix whose columns are all
 sign vectors (1, +-1, ..., +-1).  Column j encodes its signs in the bits of
 j-1: row k (k >= 2) is negative exactly when bit k-2 of j-1 is set.  One
-function, _sign_block, applies that rule; every +-1 table here and in the
-search engine is built from its output.
+function, _sign_block, applies that rule; every +-1 table here is built from
+its output.  The search engine builds no table: its row bitsets read bit
+k-2 of each candidate's j-1 directly.
 With that convention, row k of the truth table is the Sylvester Hadamard
 row with mask 2^(k-2) (row 1 is mask 0), and the coordinatewise product of
 two truth rows is the Hadamard row whose mask is the XOR of theirs
@@ -23,6 +24,7 @@ way, so all row-level statements are column-order free.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import isqrt, lcm
 from typing import Sequence
@@ -58,6 +60,20 @@ def _check_columns(m: int, indices: Sequence[int]) -> None:
     # Bit lengths, not 1 << (m - 1): a huge m must not build a huge int.
     if indices and (min(indices) < 1 or (max(indices) - 1).bit_length() >= m):
         raise IndexError(f"column index out of range [1, 2^{m - 1}] for m={m}")
+
+
+def _sorted_columns(m: int, columns) -> list[int]:
+    """`columns` as ascending ints, after checking the order m, each index's type and the range."""
+    _check_order(m)
+    indices = []
+    for j in columns:
+        try:
+            indices.append(operator.index(j))
+        except TypeError:
+            raise ValueError(f"column index must be an integer, got {j!r}") from None
+    indices.sort()
+    _check_columns(m, indices)
+    return indices
 
 
 # ---------------------------------------------------------------------------

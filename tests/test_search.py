@@ -14,12 +14,12 @@ from oracles import (
     brute_force_column_sets,
     column_index_of_signs,
     columns_orthogonal_to_ones,
-    pair_products_by_rows,
     row_dots,
     search_walk,
     truth_by_recursion,
 )
 from hadamardesque import search
+from hadamardesque.walsh import _pair_block
 from hadamardesque import (
     ResourceLimitError,
     SearchOptions,
@@ -36,16 +36,6 @@ def test_balanced_columns_are_those_orthogonal_to_the_ones_column(m):
     orthogonal = columns_orthogonal_to_ones(m)
     assert len(orthogonal) == math.comb(m - 1, m // 2)
     assert search._Lanes(m).columns == (1, *orthogonal)
-
-
-def test_balanced_pair_table_matches_column_products():
-    for m in (2, 4, 6, 8, 10):
-        table = search._Lanes(m).table
-        assert table.dtype == np.int8
-        assert table.shape == (m * (m - 1) // 2, math.comb(m - 1, m // 2))
-        expected = tuple(tuple(row[c - 1] for c in columns_orthogonal_to_ones(m))
-                         for row in pair_products_by_rows(m))
-        assert tuple(map(tuple, table.tolist())) == expected
 
 
 def test_order_two_exact_solution():
@@ -186,13 +176,38 @@ def _literal_products(m):
     return [tuple(truth[i][c] * truth[j][c] for i, j in pairs) for c in range(len(truth[0]))]
 
 
-@pytest.mark.parametrize("m", (4, 6, 8, 10, 12))
+@pytest.mark.parametrize("m", (2, 4, 6, 8, 10, 12))
 def test_column_incs_match_the_literal_products(m):
     lanes, products = search._Lanes(m), _literal_products(m)
     pairs = len(products[0])
     for j, c in enumerate(lanes.columns[1:], start=1):
         lanes_hit = [p if s == 1 else pairs + p for p, s in enumerate(products[c - 1])]
         assert lanes[j] == sum(1 << k for k in lanes_hit)
+
+
+@pytest.mark.parametrize("m", (2, 4, 6, 8, 10, 12))
+def test_lane_masks_match_the_literal_products(m):
+    # Plus lane p is left alone by the columns whose product on pair p is -1,
+    # minus lane P + p by those whose product is +1.
+    lanes, products = search._Lanes(m), _literal_products(m)
+    pairs = len(products[0])
+    assert len(lanes.masks) == 2 * pairs
+    for lane, mask in enumerate(lanes.masks):
+        sign = -1 if lane < pairs else 1
+        assert mask == sum(1 << j - 1 for j, c in enumerate(lanes.columns[1:], start=1)
+                           if products[c - 1][lane % pairs] == sign)
+    plus = (1 << pairs) - 1  # column 1's product is +1 on every pair
+    assert lanes.root == [plus << pairs, plus] + [0] * (m // 2 - 1)
+    assert lanes.full == (1 << 2 * pairs) - 1
+
+
+def test_lane_masks_match_masks_packed_from_the_pair_block():
+    for m in (14, 16, 18, 20):
+        lanes = search._Lanes(m)
+        table = _pair_block(m, lanes.columns[1:])  # int8 products, one row per pair
+        minus = [int.from_bytes(np.packbits(row < 0, bitorder="little").tobytes(), "little")
+                 for row in table]
+        assert lanes.masks == minus + [lanes.everything ^ bits for bits in minus]
 
 
 def _products_by_bits(m):
@@ -252,7 +267,7 @@ def _check_levels_at_every_node(m, node_limit, products):
 
 
 @pytest.mark.parametrize(
-    ("m", "node_limit"), [(4, None), (6, None), (8, 2_000), (10, 2_000), (12, 2_000), (22, 300)]
+    ("m", "node_limit"), [(4, None), (6, None), (8, 2_000), (10, 2_000), (12, 2_000), (24, 300)]
 )
 def test_near_lanes_match_counts_recomputed_from_the_chosen_columns(m, node_limit):
     if m <= 12:
@@ -260,16 +275,16 @@ def test_near_lanes_match_counts_recomputed_from_the_chosen_columns(m, node_limi
         checked, near = _check_levels_at_every_node(m, node_limit, lambda c: table[c - 1])
         assert 0 < near <= checked
         return
-    # The largest admitted order: its table build runs under the address-space
-    # guard, and near lanes first appear at its tenth node, so 290 of the 299
-    # children are tested against a nonempty near.
+    # The largest admitted order: its mask build runs under the address-space
+    # guard, and near lanes first appear at its eleventh node, so 289 of the
+    # 299 children are tested against a nonempty near.
     code = (
         f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
         "from test_search import _check_levels_at_every_node, _products_by_bits\n"
         f"print(*_check_levels_at_every_node({m}, {node_limit}, _products_by_bits({m})))\n"
     )
     result = run_limited(code, limit=2 * GIB)
-    assert (result.returncode, result.stdout, result.stderr) == (0, "299 290\n", "")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "299 289\n", "")
 
 
 def test_node_limit_partial():
@@ -346,11 +361,27 @@ def test_large_order_node_limited_runs_repeat(m, fields):
 
 
 @pytest.mark.parametrize(
-    "fields", [{"node_limit": -5}, {"time_limit": -1.0}, {"time_limit": float("nan")}]
+    "fields",
+    [
+        {"node_limit": -5},
+        {"time_limit": -1.0},
+        {"time_limit": float("nan")},
+        {"node_limit": 2.5},
+        {"time_limit": "1"},
+        {"node_limit": True},
+        {"time_limit": False},
+    ],
 )
 def test_negative_budgets_rejected(fields):
-    with pytest.raises(ValueError):
+    (name,) = fields
+    with pytest.raises(ValueError, match=f"^{name} must be"):
         SearchOptions(**fields)
+
+
+@pytest.mark.parametrize("limit", (0, -1, 1.5, True, "2"))
+def test_solution_limit_must_be_a_positive_integer(limit):
+    with pytest.raises(ValueError, match="^limit must be integral >= 1"):
+        find_hadamard_column_sets(4, limit=limit)
 
 
 def test_normalized_search():
@@ -425,6 +456,15 @@ def test_column_set_functions_check_the_order_first(m, columns):
             check(m, columns)
 
 
+@pytest.mark.parametrize("columns", ([1, 4.0, 6, 7], [1, 4.5, 6, 7], [1, "6", 4, 7]))
+def test_column_set_functions_name_a_non_integer_index(columns):
+    bad = next(c for c in columns if not isinstance(c, int))
+    for check in (verify_column_set, column_set_matrix):
+        with pytest.raises(ValueError, match=f"column index must be an integer, got {bad!r}"):
+            check(4, columns)
+    assert verify_column_set(4, map(np.int64, goldens.H4_COLUMN_SET))
+
+
 def test_verify_column_set_order_32():
     h32 = sylvester(5)
     columns = [column_index_of_signs(col) for col in zip(*h32.entries)]
@@ -439,10 +479,12 @@ def test_engine_range_checks():
     report = find_hadamard_column_sets(29)
     assert (report.solutions, report.nodes, report.exhaustive) == ((), 0, True)
     with pytest.raises(ResourceLimitError, match="bounded below"):
-        find_hadamard_column_sets(30)
-    # 276 pairs times C(23, 12) = 1,352,078 balanced columns is over 2^27.
-    with pytest.raises(ResourceLimitError, match="373173528"):
-        find_hadamard_column_sets(24)
+        find_hadamard_column_sets(32)
+    # 2 * 325 lanes of C(25, 12) = 5,200,300 bits each is over 2^30 bits, and
+    # order 24's 2 * 276 lanes of C(23, 12) = 1,352,078 bits fit.
+    with pytest.raises(ResourceLimitError, match="3380195000"):
+        find_hadamard_column_sets(26)
+    assert 2 * 276 * math.comb(23, 12) == 746_347_056 <= search.ENGINE_TABLE_BUDGET
     with pytest.raises(ValueError):
         find_hadamard_column_sets(4, limit=0)
 
@@ -455,11 +497,11 @@ def test_dense_solution_and_record():
     assert record["exhaustive"] is True
 
 
-def test_largest_admitted_order_builds_its_table_and_stops_on_nodes():
-    # 231 pairs times C(21, 11) = 352,716 balanced columns is within 2^27.
+def test_largest_admitted_order_builds_its_masks_and_stops_on_nodes():
+    # Order 24's 746,347,056 lane-mask bits are within 2^30 (test_engine_range_checks).
     code = (
         "from hadamardesque import SearchOptions, find_hadamard_column_sets\n"
-        "report = find_hadamard_column_sets(22, options=SearchOptions(node_limit=10))\n"
+        "report = find_hadamard_column_sets(24, options=SearchOptions(node_limit=10))\n"
         "print(report.nodes, report.limit_fired)\n"
     )
     result = run_limited(code, limit=2 * GIB)
