@@ -26,6 +26,7 @@ from .errors import ShapeError
 from .scalars import SqrtRational, format_scalar
 from .walsh import (
     _check_entries,
+    _checked,
     _pair_sums,
     _rational_numerators,
     _sign_block,
@@ -49,10 +50,8 @@ class WeightedColumn:
             object.__setattr__(self, "q", Fraction(self.q))
         if self.q.numerator <= 0:
             raise ValueError(f"column weight must be positive, got {self.q}")
-        if self.index < 1:
-            raise ValueError(f"column index must be >= 1, got {self.index}")
-        if self.multiplicity < 1:
-            raise ValueError(f"multiplicity must be >= 1, got {self.multiplicity}")
+        object.__setattr__(self, "index", _checked("column index", self.index, 1))
+        object.__setattr__(self, "multiplicity", _checked("multiplicity", self.multiplicity, 1))
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -72,8 +71,7 @@ class HadamardesqueMatrix:
     _weights: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]
 
     def __init__(self, m: int, columns: Sequence[WeightedColumn]):
-        if m < 1:
-            raise ValueError(f"row count must be >= 1, got {m}")
+        m = _checked("order m", m, 1)
         if not columns:
             raise ValueError("a matrix needs at least one column")
         # Bit length, not 1 << (m - 1): a huge m must not build a huge int.
@@ -146,9 +144,8 @@ class RepresentationVector:
 
     def __post_init__(self):
         n = len(self.values)
+        object.__setattr__(self, "m", _checked("order m", self.m, 1))
         # n = 2^(m-1) tested by bit length: shifting by a huge m can exhaust memory.
-        if self.m < 1:
-            raise ValueError(f"order m must be at least 1, got {self.m}")
         if n.bit_length() != self.m or n & (n - 1):
             raise ValueError(f"expected 2^{self.m - 1} coordinates for m={self.m}, got {n}")
         values = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.values)
@@ -168,8 +165,7 @@ class PairwiseDots:
     values: tuple
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"pairwise dots need m >= 2, got {self.m}")
+        object.__setattr__(self, "m", _checked("order m", self.m, 2))
         if len(self.values) != pair_count(self.m):
             raise ValueError(
                 f"expected {pair_count(self.m)} dot products for m={self.m}, "
@@ -348,12 +344,11 @@ def pairwise_dots(matrix: HadamardesqueMatrix) -> PairwiseDots:
     representation vector with the pair-product row for (i, j).  Refused
     past OUTPUT_ENTRY_BUDGET dot products (m > 2896).
     """
-    if matrix.m < 2:
-        raise ValueError("pairwise dots need at least two rows")
-    _check_entries(f"pairwise dots of order {matrix.m}", pair_count(matrix.m), 0)
+    m = _checked("order m", matrix.m, 2)
+    _check_entries(f"pairwise dots of order {m}", pair_count(m), 0)
     indices, numerators, den = _column_weights(matrix)
-    values = tuple(Fraction(x, den) for x in _pair_sums(matrix.m, indices, numerators))
-    return PairwiseDots(matrix.m, values)
+    values = tuple(Fraction(x, den) for x in _pair_sums(m, indices, numerators))
+    return PairwiseDots(m, values)
 
 
 def in_free_span(v) -> SpanCheck:

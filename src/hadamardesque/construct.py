@@ -29,7 +29,7 @@ from typing import Sequence
 from .classify import HadamardesqueMatrix, RepresentationVector, PairwiseDots
 from .errors import InfeasibleError
 from .scalars import SqrtRational
-from .walsh import _check_entries, _rational_numerators, fwht, pair_count, pair_to_mask
+from .walsh import _check_entries, _checked, _pair_masks, _rational_numerators, fwht, pair_count
 
 FLAVORS = ("canonical", "rational", "irrational")
 
@@ -101,8 +101,7 @@ def construct_crv(m: int, a: Sequence, options: ConstructionOptions | None = Non
     empty zero vector.
     """
     opts = options or ConstructionOptions()
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
+    m = _checked("order m", m, 2)
     _check_entries(f"weight vector of order {m}", 1, m - 1)
     target = _target_fractions(m, a)
     n = 1 << (m - 1)
@@ -112,8 +111,8 @@ def construct_crv(m: int, a: Sequence, options: ConstructionOptions | None = Non
     # The raw weights are fwht(spectrum) / (n * den), kept as integer numerators.
     numerators, den = _rational_numerators(target)
     spectrum = [0] * n
-    for L, value in enumerate(numerators, start=1):
-        spectrum[pair_to_mask(m, L)] = value
+    for mask, value in zip(_pair_masks(m), numerators):
+        spectrum[mask] = value
     raw = fwht(spectrum)
     raw_den = n * den
     shift = _resolve_shift(opts.shift, Fraction(max(0, -min(raw)), raw_den))

@@ -204,14 +204,11 @@ def parse_matrix(text: str, *, exact: bool = False) -> DenseMatrix:
     terms, which is all factoring reads, and builds the values the first
     time its entries are read.
 
-    Otherwise each distinct token is parsed once.  The matrix is exact
-    unless a token is a decimal literal, in which case every parsed value
-    is converted to a finite float; with `exact` set, a decimal literal is
-    an error instead.  A token ``-x``, where x has no sign of its own, is
-    the negation of x's exact value (x is parsed if it is not yet known),
-    taken before any float conversion, so ``-0`` in a float matrix is 0.0.
-    Token errors name the line of the first bad token in row-major order,
-    with the message of the token as written.
+    Otherwise each distinct token is parsed once, as written.  The matrix
+    is exact unless a token is a decimal literal, in which case every
+    parsed value is converted to a finite float, so ``-0`` in a float
+    matrix is 0.0; with `exact` set, a decimal literal is an error instead.
+    Token errors name the line of the first bad token in row-major order.
     """
     # Split as bytes: bytes.split() breaks at ASCII whitespace only.
     data = text.encode("utf-8", "surrogatepass")
@@ -247,25 +244,10 @@ def parse_matrix(text: str, *, exact: bool = False) -> DenseMatrix:
         return DenseMatrix._of_tokens(distinct, token_parts, codes)
 
     distinct = [raw.decode("utf-8", "surrogatepass") for raw in distinct]
+    values: list = []
     try:
-        values: list = []
-        parsed: dict[str, object] = {}  # token -> value, the bases of "-x" included
-
-        def value_of(tok: str):
-            if tok not in parsed:
-                parsed[tok] = parse_scalar(tok, exact=exact)
-            return parsed[tok]
-
         for tok in distinct:
-            base = tok[1:] if tok[0] == "-" else ""
-            if base and base[0] not in "+-":
-                try:
-                    value = -value_of(base)
-                except FormatError:  # fails as written, with its own message
-                    value = parse_scalar(tok, exact=exact)
-            else:
-                value = value_of(tok)
-            values.append(value)
+            values.append(parse_scalar(tok, exact=exact))
         is_exact = not any(isinstance(v, float) for v in values)
         if not is_exact:
             for k, tok in enumerate(distinct):

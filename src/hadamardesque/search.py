@@ -96,13 +96,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
 from .classify import is_hadamard
 from .dense import DenseMatrix, _sign_matrix
-from .walsh import _check_entries, _pair_sums, _sign_block, _sorted_columns, pair_count
+from .walsh import _check_entries, _checked, _pair_sums, _row_pairs, _sign_block, _sorted_columns, pair_count
 
 ENGINE_TABLE_BUDGET = 1 << 30  # bits of the 2P lane masks over the balanced columns
 
@@ -114,14 +114,10 @@ class SearchOptions:
     force_first_column: bool = False
 
     def __post_init__(self):
-        _check_budget("node_limit", self.node_limit, Integral, 0)
-        _check_budget("time_limit", self.time_limit, Real, 0)
-
-
-def _check_budget(name: str, value, kind: type, least: int) -> None:
-    """Refuse a budget that is set but is not a `kind` >= `least`; bool and NaN are neither."""
-    if value is not None and (isinstance(value, bool) or not isinstance(value, kind) or not value >= least):
-        raise ValueError(f"{name} must be {kind.__name__.lower()} >= {least}, got {value!r}")
+        if self.node_limit is not None:
+            _checked("node_limit", self.node_limit, 0)
+        if self.time_limit is not None:
+            _checked("time_limit", self.time_limit, 0, Real)
 
 
 @dataclass(frozen=True)
@@ -148,33 +144,46 @@ class SearchReport:
 
 def column_set_matrix(m: int, columns) -> DenseMatrix:
     """Dense +-1 matrix whose columns are the given truth columns."""
-    return _sign_matrix(_sign_block(m, _sorted_columns(m, columns)) < 0)
+    return _sign_matrix(_sign_block(*_sorted_columns(m, columns)) < 0)
 
 
-def _balanced_columns(m: int) -> list[int]:
+def _balanced_columns(m: int, deadline: float | None = None) -> list[int]:
     """The columns whose pattern has m/2 bits set, ascending, within the lane-mask budget.
 
     The 2P lane masks have m(m-1) * C(m-1, m/2) bits, at least (m-1) * 2^(m-1)
     as the central binomial is the largest of the m binomials C(m-1, k),
     which sum to 2^(m-1).  An order whose 2^(m-1) is over the budget is
     refused on that bound, by bit length, before math.comb builds a huge int.
+    The clock is read before every _CLOCK_STRIDE columns.
     """
     what = f"lane masks of order {m}"
     if m - 1 >= ENGINE_TABLE_BUDGET.bit_length():
         _check_entries(f"{what} (bounded below)", m - 1, m - 1, ENGINE_TABLE_BUDGET)
-    _check_entries(what, 2 * pair_count(m) * math.comb(m - 1, m // 2), 0, ENGINE_TABLE_BUDGET)
+    count = math.comb(m - 1, m // 2)
+    _check_entries(what, 2 * pair_count(m) * count, 0, ENGINE_TABLE_BUDGET)
     # Gosper's hack: the next larger int with as many bits set as p.
-    p, end, columns = (1 << m // 2) - 1, 1 << m - 1, []
-    while p < end:
-        columns.append(p + 1)
-        low = p & -p
-        carry = p + low
-        p = ((carry ^ p) >> 2) // low | carry
+    p, columns = (1 << m // 2) - 1, []
+    for start in range(0, count, _CLOCK_STRIDE):
+        _check_time(deadline)
+        for _ in range(min(_CLOCK_STRIDE, count - start)):
+            columns.append(p + 1)
+            low = p & -p
+            carry = p + low
+            p = ((carry ^ p) >> 2) // low | carry
     return columns
 
 
 class _Stop(Exception):
     """Ends a run; its one argument is the budget that fired."""
+
+
+_CLOCK_STRIDE = 1 << 16  # balanced columns built between two readings of the clock
+
+
+def _check_time(deadline: float | None) -> None:
+    """Stop the run once `deadline` has passed; _Run.visit repeats this test inline, once per node."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise _Stop("time")
 
 
 @dataclass(slots=True)
@@ -243,14 +252,17 @@ class _Lanes(dict):
 
     __slots__ = ("columns", "touch", "masks", "root", "full", "everything")
 
-    def __init__(self, m: int):
+    def __init__(self, m: int, deadline: float | None = None):
+        """Build the lanes of order m, stopping the run between steps once `deadline` has passed."""
         super().__init__()
-        balanced = _balanced_columns(m)
+        balanced = _balanced_columns(m, deadline)
         self.columns = (1, *balanced)
-        patterns = np.array(balanced, np.int64) - 1
-        rows = [0] + [int.from_bytes(np.packbits(patterns >> k & 1, bitorder="little").tobytes(),
-                                     "little") for k in range(m - 1)]
-        pairs = [(i, k) for k in range(1, m) for i in range(k)]  # pair_index order, rows from 0
+        patterns, rows = np.array(balanced, np.int64) - 1, [0]
+        for k in range(m - 1):
+            _check_time(deadline)
+            packed = np.packbits(patterns >> k & 1, bitorder="little")
+            rows.append(int.from_bytes(packed.tobytes(), "little"))
+        pairs = list(zip(*(side.tolist() for side in _row_pairs(m))))  # rows from 0
         self.touch = [sum(1 << p for p, pair in enumerate(pairs * 2) if r in pair) for r in range(m)]
         plus = (1 << len(pairs)) - 1  # column 1 adds to every plus lane
         self.root = [plus << len(pairs), plus] + [0] * (m // 2 - 1)
@@ -317,14 +329,15 @@ def find_hadamard_column_sets(m: int, limit: int | None = None,
     the count lanes of the normalized set it comes from all read m/2,
     verify_column_set's pair sums vanish, and its dense matrix passes the
     direct Hadamard test.  The report says whether the tree was fully
-    explored and which budget (if any) cut the run short.  Odd orders end
-    at the root; even orders whose lane masks over the balanced columns
-    exceed ENGINE_TABLE_BUDGET bits (m >= 26) raise ResourceLimitError.
+    explored and which budget (if any) cut the run short; the time limit
+    covers the build of the lane masks too.  Odd orders end at the root;
+    even orders whose lane masks over the balanced columns exceed
+    ENGINE_TABLE_BUDGET bits (m >= 26) raise ResourceLimitError.
     """
     opts = options or SearchOptions()
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
-    _check_budget("limit", limit, Integral, 1)
+    m = _checked("order m", m, 2)
+    if limit is not None:
+        _checked("limit", limit, 1)
     started = time.monotonic()
     deadline = None if opts.time_limit is None else started + opts.time_limit
     run = _Run(m, opts.force_first_column, opts.node_limit, deadline, limit, on_solution)
@@ -332,8 +345,8 @@ def find_hadamard_column_sets(m: int, limit: int | None = None,
     # Parity of the final pair sums equals the parity of m: odd orders are
     # exhausted at the root without expanding anything.
     if m % 2 == 0:
-        lanes = _Lanes(m)
         try:  # column 1 saturates lanes only at m=2, which its one balanced column passes
+            lanes = _Lanes(m, deadline)
             run.visit()
             _walk(lanes, lanes.root, lanes.everything, m - 1, run)
         except _Stop as stop:
@@ -356,7 +369,7 @@ def verify_column_set(m: int, columns) -> bool:
     the direct Hadamard test on the dense matrix; the latter two must agree
     whenever the size is right, so a mismatch raises.
     """
-    cols = _sorted_columns(m, columns)
+    m, cols = _sorted_columns(m, columns)
     if len(set(cols)) != len(cols):
         raise ValueError("column set contains duplicates")
     if len(cols) != m:

@@ -27,12 +27,14 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from math import isqrt, lcm
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
 from .dense import DenseMatrix, _sign_matrix
 from .errors import ResourceLimitError
+from .scalars import _shown
 
 # Every output (table, matrix or weight vector) is refused past this many entries.
 OUTPUT_ENTRY_BUDGET = 1 << 22
@@ -40,9 +42,17 @@ OUTPUT_ENTRY_BUDGET = 1 << 22
 _INT64_BOUND = 1 << 63
 
 
-def _check_order(m: int) -> None:
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"order m must be a positive integer, got {m!r}")
+def _checked(name: str, value, least: int, kind: type = Integral):
+    """`value` if it is a `kind` >= `least`, as an int when `kind` is Integral; else ValueError.
+
+    The one check of every integer the API takes (orders, rows, pair and
+    column indices, multiplicities) and of the search budgets.  bool is
+    refused although it is an int, NaN fails the comparison, and numpy
+    integers pass.
+    """
+    if isinstance(value, bool) or not isinstance(value, kind) or not value >= least:
+        raise ValueError(f"{name} must be {kind.__name__.lower()} >= {least}, got {_shown(value)}")
+    return operator.index(value) if kind is Integral else value
 
 
 def _check_entries(what: str, factor: int, exponent: int,
@@ -62,18 +72,12 @@ def _check_columns(m: int, indices: Sequence[int]) -> None:
         raise IndexError(f"column index out of range [1, 2^{m - 1}] for m={m}")
 
 
-def _sorted_columns(m: int, columns) -> list[int]:
-    """`columns` as ascending ints, after checking the order m, each index's type and the range."""
-    _check_order(m)
-    indices = []
-    for j in columns:
-        try:
-            indices.append(operator.index(j))
-        except TypeError:
-            raise ValueError(f"column index must be an integer, got {j!r}") from None
-    indices.sort()
+def _sorted_columns(m: int, columns) -> tuple[int, list[int]]:
+    """The order m and `columns` as ascending ints, after checking each and the range."""
+    m = _checked("order m", m, 1)
+    indices = sorted(_checked("column index", j, 1) for j in columns)
     _check_columns(m, indices)
-    return indices
+    return m, indices
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +104,7 @@ def _pair_block(m: int, indices: Sequence[int]) -> np.ndarray:
     its size.
     """
     block = _sign_block(m, indices)
-    _, earlier = np.tril_indices(m, -1)
-    out = block[earlier]
+    out = block[_row_pairs(m)[0]]
     for j in range(1, m):
         start = j * (j - 1) // 2
         out[start:start + j] *= block[j]
@@ -110,7 +113,7 @@ def _pair_block(m: int, indices: Sequence[int]) -> np.ndarray:
 
 def truth_table(m: int) -> DenseMatrix:
     """Dense m x 2^(m-1) truth table, within OUTPUT_ENTRY_BUDGET entries (m <= 18)."""
-    _check_order(m)
+    m = _checked("order m", m, 1)
     _check_entries(f"truth table of order {m}", m, m - 1)
     return _sign_matrix(_sign_block(m, range(1, (1 << (m - 1)) + 1)) < 0)
 
@@ -120,8 +123,19 @@ def truth_table(m: int) -> DenseMatrix:
 
 
 def pair_count(m: int) -> int:
-    _check_order(m)
+    m = _checked("order m", m, 1)
     return m * (m - 1) // 2
+
+
+def _row_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The earlier and the later row, counted from 0, of every row pair in pair_index order."""
+    later, earlier = np.tril_indices(m, -1)
+    return earlier, later
+
+
+def _pair_masks(m: int) -> list[int]:
+    """The Hadamard row mask of every row pair, in pair_index order (row k from 0: 2^k >> 1)."""
+    return [(1 << i ^ 1 << k) >> 1 for i, k in zip(*(rows.tolist() for rows in _row_pairs(m)))]
 
 
 def pair_index(i: int, j: int) -> int:
@@ -129,15 +143,14 @@ def pair_index(i: int, j: int) -> int:
 
     Pairs are ordered (1,2), (1,3), (2,3), (1,4), (2,4), (3,4), ...
     """
-    if not 1 <= i < j:
-        raise ValueError(f"need 1 <= i < j, got ({i}, {j})")
+    i = _checked("row i", i, 1)
+    j = _checked("row j", j, i + 1)
     return (j - 1) * (j - 2) // 2 + i
 
 
 def pair_rows(linear: int) -> tuple[int, int]:
     """Inverse of pair_index."""
-    if linear < 1:
-        raise ValueError(f"pair index must be >= 1, got {linear}")
+    linear = _checked("pair index L", linear, 1)
     j = (1 + isqrt(8 * linear - 7)) // 2 + 1
     i = linear - (j - 1) * (j - 2) // 2
     return i, j
@@ -145,29 +158,27 @@ def pair_rows(linear: int) -> tuple[int, int]:
 
 def row_mask(k: int) -> int:
     """Hadamard row mask of truth-table row k: 0 for row 1, else 2^(k-2)."""
-    if k < 1:
-        raise ValueError(f"row must be >= 1, got {k}")
+    k = _checked("row k", k, 1)
     return 0 if k == 1 else 1 << (k - 2)
 
 
 def pair_to_mask(m: int, linear: int) -> int:
     """Hadamard row mask of the pair-product row with the given linear index."""
-    if not 1 <= linear <= pair_count(m):
-        raise IndexError(f"pair index {linear} out of range [1, {pair_count(m)}]")
+    count = pair_count(m)
+    if _checked("pair index L", linear, 1) > count:
+        raise IndexError(f"pair index {linear} out of range [1, {count}]")
     i, j = pair_rows(linear)
     return row_mask(i) ^ row_mask(j)
 
 
 def pair_masks(m: int) -> frozenset[int]:
     """Masks of the Hadamard rows realised by some row pair (m(m-1)/2 of them)."""
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
-    return frozenset(pair_to_mask(m, L) for L in range(1, pair_count(m) + 1))
+    return frozenset(_pair_masks(_checked("order m", m, 2)))
 
 
 def free_masks(m: int) -> frozenset[int]:
     """Masks of the remaining Hadamard rows, unconstrained by any row pair."""
-    _check_order(m)
+    m = _checked("order m", m, 2)
     _check_entries(f"mask list of order {m}", 1, m - 1)
     used = pair_masks(m)
     return frozenset(mask for mask in range(1 << (m - 1)) if mask not in used)
@@ -175,8 +186,7 @@ def free_masks(m: int) -> frozenset[int]:
 
 def pair_product_table(m: int) -> DenseMatrix:
     """Dense m(m-1)/2 x 2^(m-1) table of columnwise pairwise products (m <= 16)."""
-    if pair_count(m) < 1:  # pair_count rejects non-integer and nonpositive m
-        raise ValueError(f"need m >= 2, got {m}")
+    m = _checked("order m", m, 2)
     _check_entries(f"pair-product table of order {m}", pair_count(m), m - 1)
     return _sign_matrix(_pair_block(m, range(1, (1 << (m - 1)) + 1)) < 0)
 
@@ -187,8 +197,7 @@ def pair_product_table(m: int) -> DenseMatrix:
 
 def sylvester(k: int) -> DenseMatrix:
     """The 2^k x 2^k Sylvester Hadamard matrix with +-1 entries (k <= 11)."""
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"exponent k must be a nonnegative integer, got {k!r}")
+    k = _checked("exponent k", k, 0)
     _check_entries(f"Sylvester matrix of order 2^{k}", 1, 2 * k)
     negative = np.zeros((1, 1), bool)
     for _ in range(k):  # [[H, H], [H, -H]]
@@ -258,10 +267,10 @@ def _pair_sums(m: int, indices: Sequence[int], numerators: Sequence[int]) -> lis
         dtype = np.int64 if sum(map(abs, numerators)) < _INT64_BOUND else object
         block = _sign_block(m, indices).astype(dtype)
         gram = (block * np.array(numerators, dtype=dtype)) @ block.T
-        later, earlier = np.tril_indices(m, -1)
+        earlier, later = _row_pairs(m)
         return gram[later, earlier].tolist()
     weights = [0] * (1 << (m - 1))
     for j, w in zip(indices, numerators):
         weights[j - 1] += w
     spectrum = _int_fwht(weights)
-    return [spectrum[pair_to_mask(m, L)] for L in range(1, pair_count(m) + 1)]
+    return [spectrum[mask] for mask in _pair_masks(m)]

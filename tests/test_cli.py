@@ -274,7 +274,7 @@ def test_in_span_of_an_order_below_one_is_an_input_error(capsys, tmp_path, m):
     path.write_text(json.dumps({"m": m, "v": []}))
     code, out, err = run(capsys, "in-span", str(path))
     assert (code, out) == (2, "")
-    assert err == f"error: order m must be at least 1, got {m}\n"
+    assert err == f"error: order m must be integral >= 1, got {m}\n"
 
 
 # --- construct -------------------------------------------------------------------------
@@ -451,7 +451,7 @@ def test_verify_set(capsys):
 def test_verify_set_of_a_nonpositive_order_is_an_input_error(capsys, m):
     code, out, err = run(capsys, "verify-set", m, "1")
     assert (code, out) == (2, "")
-    assert err == f"error: order m must be a positive integer, got {m}\n"
+    assert err == f"error: order m must be integral >= 1, got {m}\n"
 
 
 def test_missing_file_is_argument_error(capsys):

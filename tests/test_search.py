@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import math
 import sys
@@ -303,6 +304,30 @@ def test_time_limit_partial():
         assert report.limit_fired == "time"
 
 
+@pytest.mark.parametrize("seconds", (0.5, 2.5, 8.5))
+def test_time_limit_holds_through_the_build(monkeypatch, seconds):
+    # Each reading of the fake clock is one second after the last, the start
+    # reads 0, and the build reads it 5 times over the 462 balanced columns
+    # of order 12 (a stride of 100), then once per row bitset: the deadline
+    # passes in the column enumeration (0.5, 2.5) or between row bitsets (8.5).
+    def root_visit(run):
+        raise AssertionError("the walk started after the deadline")
+
+    monkeypatch.setattr(search.time, "monotonic", itertools.count().__next__)
+    monkeypatch.setattr(search, "_CLOCK_STRIDE", 100)
+    monkeypatch.setattr(search._Run, "visit", root_visit)
+    report = find_hadamard_column_sets(12, options=SearchOptions(time_limit=seconds))
+    assert (report.nodes, report.solutions, report.exhaustive) == (0, (), False)
+    assert report.limit_fired == "time"
+
+
+def test_time_limit_at_the_largest_order_stops_in_the_build():
+    started = time.monotonic()
+    report = find_hadamard_column_sets(24, options=SearchOptions(time_limit=0.01))
+    assert time.monotonic() - started < 0.3  # the whole build: about 0.5 s on a 2-core x86 box
+    assert (report.nodes, report.limit_fired) == (0, "time")
+
+
 @pytest.mark.parametrize(
     ("m", "fields", "nodes"),
     [
@@ -452,7 +477,7 @@ def test_verify_column_set():
 @pytest.mark.parametrize("columns", ((), (1,)))
 def test_column_set_functions_check_the_order_first(m, columns):
     for check in (verify_column_set, column_set_matrix):
-        with pytest.raises(ValueError, match=f"order m must be a positive integer, got {m}"):
+        with pytest.raises(ValueError, match=f"order m must be integral >= 1, got {m}"):
             check(m, columns)
 
 
@@ -460,7 +485,7 @@ def test_column_set_functions_check_the_order_first(m, columns):
 def test_column_set_functions_name_a_non_integer_index(columns):
     bad = next(c for c in columns if not isinstance(c, int))
     for check in (verify_column_set, column_set_matrix):
-        with pytest.raises(ValueError, match=f"column index must be an integer, got {bad!r}"):
+        with pytest.raises(ValueError, match=f"column index must be integral >= 1, got {bad!r}"):
             check(4, columns)
     assert verify_column_set(4, map(np.int64, goldens.H4_COLUMN_SET))
 
