@@ -23,10 +23,9 @@ import numpy as np
 
 from .dense import DenseMatrix, _first_occurrence_codes
 from .errors import ShapeError
-from .scalars import SqrtRational, format_scalar
+from .scalars import SqrtRational, _checked, _checked_rational, format_scalar
 from .walsh import (
     _check_entries,
-    _checked,
     _pair_sums,
     _rational_numerators,
     _sign_block,
@@ -46,8 +45,8 @@ class WeightedColumn:
     multiplicity: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.q, Fraction):
-            object.__setattr__(self, "q", Fraction(self.q))
+        if type(self.q) is not Fraction:
+            object.__setattr__(self, "q", Fraction(_checked_rational("column weight q", self.q)))
         if self.q.numerator <= 0:
             raise ValueError(f"column weight must be positive, got {self.q}")
         object.__setattr__(self, "index", _checked("column index", self.index, 1))
@@ -148,10 +147,13 @@ class RepresentationVector:
         # n = 2^(m-1) tested by bit length: shifting by a huge m can exhaust memory.
         if n.bit_length() != self.m or n & (n - 1):
             raise ValueError(f"expected 2^{self.m - 1} coordinates for m={self.m}, got {n}")
-        values = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.values)
-        object.__setattr__(self, "values", values)
-        if any(v.numerator < 0 for v in values):
-            raise ValueError("representation vector coordinates must be nonnegative")
+        values = []  # one pass: 2^(m-1) weights on every construction
+        for v in self.values:
+            v = v if type(v) is Fraction else Fraction(_checked_rational("weight", v))
+            if v.numerator < 0:
+                raise ValueError("representation vector coordinates must be nonnegative")
+            values.append(v)
+        object.__setattr__(self, "values", tuple(values))
 
     def to_record(self) -> dict:
         return {"m": self.m, "v": [format_scalar(v) for v in self.values]}
@@ -171,6 +173,8 @@ class PairwiseDots:
                 f"expected {pair_count(self.m)} dot products for m={self.m}, "
                 f"got {len(self.values)}"
             )
+        object.__setattr__(self, "values", tuple(
+            v if isinstance(v, SqrtRational) else _checked_rational("dot product", v) for v in self.values))
 
     def to_record(self) -> dict:
         return {"m": self.m, "a": [format_scalar(v) for v in self.values]}
@@ -223,7 +227,7 @@ def factor_columns(matrix: DenseMatrix, tol: float | None = None) -> Factorizati
     not share one modulus, and ValueError for a tolerance that is negative
     or not finite.
     """
-    if tol is not None and not 0 <= tol < inf:  # also rejects NaN
+    if tol is not None and (isinstance(tol, bool) or not 0 <= tol < inf):  # also rejects NaN
         raise ValueError(f"modulus tolerance must be finite and >= 0, got {tol!r}")
     if matrix.is_exact and tol:
         raise ValueError("exact matrices require tol=0")
@@ -355,12 +359,12 @@ def in_free_span(v) -> SpanCheck:
     """Is v orthogonal to every pair-product row?
 
     Equivalently, does v lie in the span of the Hadamard rows that no row
-    pair realises?  Accepts a RepresentationVector or any rational sequence
-    of length 2^(m-1), from which m is read (difference vectors may be
-    negative).  On failure the violating pair indices are returned with
-    their residual dot products.
+    pair realises?  Accepts a RepresentationVector or any sequence of ints
+    and Fractions of length 2^(m-1), from which m is read (difference
+    vectors may be negative).  On failure the violating pair indices are
+    returned with their residual dot products.
     """
-    values = list(v.values if isinstance(v, RepresentationVector) else v)
+    values = v.values if isinstance(v, RepresentationVector) else [_checked_rational("weight", x) for x in v]
     n = len(values)
     if n == 0 or n & (n - 1):
         raise ValueError(f"vector length must be a power of two, got {n}")

@@ -28,8 +28,8 @@ from typing import Sequence
 
 from .classify import HadamardesqueMatrix, RepresentationVector, PairwiseDots
 from .errors import InfeasibleError
-from .scalars import SqrtRational
-from .walsh import _check_entries, _checked, _pair_masks, _rational_numerators, fwht, pair_count
+from .scalars import SqrtRational, _checked, _checked_rational
+from .walsh import _check_entries, _pair_masks, _rational_numerators, fwht, pair_count
 
 FLAVORS = ("canonical", "rational", "irrational")
 
@@ -39,7 +39,7 @@ class ConstructionOptions:
     """Shift policy and realization flavor.
 
     shift: "minimal" (smallest exact shift), "minimal-integer" (smallest
-    integer shift), or an explicit nonnegative-making value.
+    integer shift), or an explicit nonnegative-making int or Fraction.
     """
 
     shift: object = "minimal"
@@ -48,7 +48,9 @@ class ConstructionOptions:
     def __post_init__(self):
         if self.flavor not in FLAVORS:
             raise ValueError(f"flavor must be one of {FLAVORS}, got {self.flavor!r}")
-        if isinstance(self.shift, str) and self.shift not in ("minimal", "minimal-integer"):
+        if not isinstance(self.shift, str):
+            object.__setattr__(self, "shift", _checked_rational("shift", self.shift))
+        elif self.shift not in ("minimal", "minimal-integer"):
             raise ValueError(f"unknown shift policy {self.shift!r}")
 
 
@@ -73,24 +75,21 @@ def _target_fractions(m: int, a, *, reason: str = _EXACT_REASON) -> list[Fractio
     for pos, value in enumerate(values, start=1):
         if isinstance(value, SqrtRational):
             if not value.is_rational:
-                raise InfeasibleError(
-                    f"target coordinate {pos} is irrational ({value}); {reason}"
-                )
+                raise InfeasibleError(f"target coordinate {pos} is irrational ({value}); {reason}")
             value = value.as_fraction()
-        out.append(Fraction(value))
+        out.append(Fraction(_checked_rational("target coordinate", value)))
     return out
 
 
-def _resolve_shift(shift, floor: Fraction) -> Fraction:
+def _resolve_shift(shift, floor: Fraction) -> Fraction | int:
     """The shift to add to the raw weights, given the minimal feasible value."""
     if shift == "minimal":
         return floor
     if shift == "minimal-integer":
         return Fraction(math.ceil(floor))
-    value = Fraction(shift)
-    if value < floor:
-        raise ValueError(f"explicit shift {value} leaves negative weights (need >= {floor})")
-    return value
+    if shift < floor:
+        raise ValueError(f"explicit shift {shift} leaves negative weights (need >= {floor})")
+    return shift
 
 
 def construct_crv(m: int, a: Sequence, options: ConstructionOptions | None = None) -> RepresentationVector:

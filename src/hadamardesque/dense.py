@@ -30,6 +30,7 @@ from .errors import FormatError
 from .scalars import (
     SqrtRational,
     _build_scalar,
+    _checked,
     _finite_float,
     _grammar_parts,
     _shown,
@@ -159,7 +160,7 @@ class DenseMatrix:
         return self._codes.shape
 
     def row(self, i: int) -> tuple:
-        if not 1 <= i <= self.rows:
+        if _checked("row i", i, 1) > self.rows:
             raise IndexError(f"row {i} out of range")
         return self.entries[i - 1]
 

@@ -12,13 +12,18 @@ optional sign, then ``p``, ``p/q``, ``sqrt(p)`` or ``sqrt(p/q)`` with p, q
 unsigned integers.  Each token is matched once and its value built from the
 captured integers.  Outside exact parsing, decimal literals are read as
 finite floats.
+
+It also holds the input checks of the whole API: _checked for integers,
+_checked_rational for rationals, and _shown for the values they quote.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
+from numbers import Integral
 
 from .errors import FormatError
 
@@ -52,7 +57,7 @@ class SqrtRational:
         if isinstance(value, SqrtRational):
             self._sign, self._square = value._sign, value._square
             return
-        frac = Fraction(value)
+        frac = Fraction(_checked_rational("value", value))
         self._sign = (frac > 0) - (frac < 0)
         self._square = frac * frac
 
@@ -69,7 +74,7 @@ class SqrtRational:
 
         Returns a Fraction when the radicand is a perfect square.
         """
-        rad = radicand if type(radicand) is Fraction else Fraction(radicand)
+        rad = radicand if type(radicand) is Fraction else Fraction(_checked_rational("radicand", radicand))
         if rad.numerator < 0:
             raise ValueError(f"square root of negative value {rad}")
         root = _exact_sqrt(rad)
@@ -227,6 +232,30 @@ def _shown(token) -> str:
     if len(text) <= 500:
         return show(text)
     return f"{show(text[:20])}... ({len(text)} characters)"
+
+
+def _checked(name: str, value, least: int, kind: type = Integral):
+    """`value` if it is a `kind` >= `least`, as an int when `kind` is Integral; else ValueError.
+
+    The one check of every integer the API takes and of the search budgets:
+    bool is refused, NaN fails the comparison, and numpy integers pass.
+    """
+    if isinstance(value, bool) or not isinstance(value, kind) or not value >= least:
+        raise ValueError(f"{name} must be {kind.__name__.lower()} >= {least}, got {_shown(value)}")
+    return operator.index(value) if kind is Integral else value
+
+
+def _checked_rational(name: str, value):
+    """`value` if it is an int or a Fraction, a numpy integer as an int; else TypeError.
+
+    The one check of every rational the API takes: bool, float, str,
+    Decimal, None and SqrtRational are refused, so nothing is rounded or parsed.
+    """
+    if type(value) is int or isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise TypeError(f"{name} must be an int or a Fraction, got {_shown(value)}")
+    return operator.index(value)
 
 
 def parse_scalar(token: str, *, exact: bool = True):

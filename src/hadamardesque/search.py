@@ -102,7 +102,8 @@ import numpy as np
 
 from .classify import is_hadamard
 from .dense import DenseMatrix, _sign_matrix
-from .walsh import _check_entries, _checked, _pair_sums, _row_pairs, _sign_block, _sorted_columns, pair_count
+from .scalars import _checked
+from .walsh import _check_entries, _pair_sums, _row_pairs, _sign_block, _sorted_columns, pair_count
 
 ENGINE_TABLE_BUDGET = 1 << 30  # bits of the 2P lane masks over the balanced columns
 

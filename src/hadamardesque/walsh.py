@@ -24,35 +24,20 @@ way, so all row-level statements are column-order free.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import isqrt, lcm
-from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
 from .dense import DenseMatrix, _sign_matrix
 from .errors import ResourceLimitError
-from .scalars import _shown
+from .scalars import _checked, _checked_rational
 
 # Every output (table, matrix or weight vector) is refused past this many entries.
 OUTPUT_ENTRY_BUDGET = 1 << 22
 # An int64 butterfly cannot overflow while the input's l1 norm stays below this.
 _INT64_BOUND = 1 << 63
-
-
-def _checked(name: str, value, least: int, kind: type = Integral):
-    """`value` if it is a `kind` >= `least`, as an int when `kind` is Integral; else ValueError.
-
-    The one check of every integer the API takes (orders, rows, pair and
-    column indices, multiplicities) and of the search budgets.  bool is
-    refused although it is an int, NaN fails the comparison, and numpy
-    integers pass.
-    """
-    if isinstance(value, bool) or not isinstance(value, kind) or not value >= least:
-        raise ValueError(f"{name} must be {kind.__name__.lower()} >= {least}, got {_shown(value)}")
-    return operator.index(value) if kind is Integral else value
 
 
 def _check_entries(what: str, factor: int, exponent: int,
@@ -218,23 +203,23 @@ def fwht(values: Sequence) -> list:
     and divided back.  The integer transform runs as a numpy int64
     butterfly when the numerators satisfy sum(|v|) < 2^63: every
     intermediate is a signed subset sum of the inputs, so none can
-    overflow.  Larger inputs run the same butterfly over Python ints.  Any
-    other entry type raises TypeError.
+    overflow.  Larger inputs run the same butterfly over Python ints.
+    Entries pass _checked_rational: numpy integers count as ints, and any
+    other entry type (bool and float included) raises TypeError.
     """
     n = len(values)
     if n == 0 or n & (n - 1):
         raise ValueError(f"length must be a power of two, got {n}")
-    if all(isinstance(v, int) for v in values):
-        return _int_fwht(values)
-    numerators, den = _rational_numerators(values)
-    return [Fraction(x, den) for x in _int_fwht(numerators)]
+    if not all(type(v) is int for v in values):  # bools and numpy integers are checked here too
+        values = [_checked_rational("transform entry", v) for v in values]
+        if not all(type(v) is int for v in values):
+            numerators, den = _rational_numerators(values)
+            return [Fraction(x, den) for x in _int_fwht(numerators)]
+    return _int_fwht(values)
 
 
 def _rational_numerators(values: Sequence) -> tuple[list[int], int]:
-    """Integer numerators of int/Fraction values over their least common denominator."""
-    for v in values:
-        if not isinstance(v, (int, Fraction)):
-            raise TypeError(f"exact transform needs int or Fraction entries, got {v!r}")
+    """Integer numerators of checked rationals over their least common denominator."""
     den = lcm(*{v.denominator for v in values})
     return [v.numerator * (den // v.denominator) for v in values], den
 

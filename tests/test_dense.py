@@ -85,7 +85,7 @@ def test_accessors():
     assert matrix.row(2) == (4, 5, 6)
     with pytest.raises(IndexError):
         matrix.row(3)
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="^row i must be integral >= 1, got 0$"):
         matrix.row(0)
 
 
