@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import inf, lcm
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -69,8 +69,9 @@ class HadamardesqueMatrix:
     m: int
     _weights: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]
 
-    def __init__(self, m: int, columns: Sequence[WeightedColumn]):
+    def __init__(self, m: int, columns: Iterable[WeightedColumn]):
         m = _checked("order m", m, 1)
+        columns = tuple(columns)  # read once: any iterable of columns
         if not columns:
             raise ValueError("a matrix needs at least one column")
         # Bit length, not 1 << (m - 1): a huge m must not build a huge int.
@@ -142,13 +143,14 @@ class RepresentationVector:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        n = len(self.values)
+        source = tuple(self.values)  # read once: any iterable of weights
+        n = len(source)
         object.__setattr__(self, "m", _checked("order m", self.m, 1))
         # n = 2^(m-1) tested by bit length: shifting by a huge m can exhaust memory.
         if n.bit_length() != self.m or n & (n - 1):
             raise ValueError(f"expected 2^{self.m - 1} coordinates for m={self.m}, got {n}")
         values = []  # one pass: 2^(m-1) weights on every construction
-        for v in self.values:
+        for v in source:
             v = v if type(v) is Fraction else Fraction(_checked_rational("weight", v))
             if v.numerator < 0:
                 raise ValueError("representation vector coordinates must be nonnegative")
@@ -168,13 +170,14 @@ class PairwiseDots:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _checked("order m", self.m, 2))
-        if len(self.values) != pair_count(self.m):
+        source = tuple(self.values)  # read once: any iterable of dots
+        if len(source) != pair_count(self.m):
             raise ValueError(
                 f"expected {pair_count(self.m)} dot products for m={self.m}, "
-                f"got {len(self.values)}"
+                f"got {len(source)}"
             )
         object.__setattr__(self, "values", tuple(
-            v if isinstance(v, SqrtRational) else _checked_rational("dot product", v) for v in self.values))
+            v if isinstance(v, SqrtRational) else _checked_rational("dot product", v) for v in source))
 
     def to_record(self) -> dict:
         return {"m": self.m, "a": [format_scalar(v) for v in self.values]}

@@ -9,11 +9,11 @@ The text format is the interchange surface for every tool in the package:
 
 Entries are tokens of the one grammar in `scalars`: an optional sign, then
 ``p``, ``p/q``, ``sqrt(p)`` or ``sqrt(p/q)``.  Decimal literals make a
-float matrix unless the parse is exact.  The format is ASCII throughout:
-lines end at ``\n`` (so a ``\r\n`` file reads the same), and tokens are
-separated by ASCII whitespace only.  Any other character, a Unicode line
-or space separator included, belongs to a token or line and is an error
-that names its line.
+float matrix unless the parse is exact, as a float entry does a matrix
+built in Python.  The format is ASCII throughout: lines end at ``\n`` (so
+a ``\r\n`` file reads the same), and tokens are separated by ASCII
+whitespace only.  Any other character, a Unicode line or space separator
+included, belongs to a token or line and is an error that names its line.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .scalars import (
     SqrtRational,
     _build_scalar,
     _checked,
+    _checked_rational,
     _finite_float,
     _grammar_parts,
     _shown,
@@ -42,14 +43,14 @@ from .scalars import (
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class DenseMatrix:
-    """Immutable row-major matrix; entries exact scalars or floats.
+    """Immutable row-major matrix; entries exact scalars or finite floats.
 
     The matrix is stored as its distinct entry objects, each once, and a
     read-only integer array of shape rows x cols whose codes index them.
     A file of scaled sign columns holds about two distinct entries per
     distinct scale, so readers of the matrix work per distinct entry and
     index the codes.  `entries`, the row tuples, is a view derived on first
-    use; `==` and `hash` compare it and `is_exact`.
+    use; `==` and `hash` compare it and `is_exact`: no entry is a float.
 
     An exact matrix also has a private table `_squares`: the sign (0 for
     zero) and the square, as an integer pair in lowest terms, of each
@@ -62,7 +63,7 @@ class DenseMatrix:
     _codes: np.ndarray
     is_exact: bool
 
-    def __init__(self, entries, is_exact: bool = True):
+    def __init__(self, entries):
         if not entries or not entries[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(entries[0])
@@ -72,11 +73,11 @@ class DenseMatrix:
         flat = list(chain.from_iterable(entries))
         ids = list(map(id, flat))
         _, codes = _first_occurrence_codes(ids)
-        distinct = tuple(dict(zip(ids, flat)).values())
-        self._set(codes.reshape(len(entries), width), is_exact, _distinct=distinct)
+        distinct = tuple(map(_checked_entry, dict(zip(ids, flat)).values()))  # one check each
+        self._set(codes.reshape(len(entries), width), _distinct=distinct)
 
     @classmethod
-    def _of_codes(cls, distinct: tuple, codes: np.ndarray, is_exact: bool = True) -> DenseMatrix:
+    def _of_codes(cls, distinct: tuple, codes: np.ndarray) -> DenseMatrix:
         """The matrix whose entry (i, j) is distinct[codes[i, j]], unchecked.
 
         codes is a nonempty 2-d integer array, made read-only here.  Every
@@ -84,7 +85,7 @@ class DenseMatrix:
         in row-major order, so that a matrix has one coded form.
         """
         self = cls.__new__(cls)
-        self._set(codes, is_exact, _distinct=distinct)
+        self._set(codes, _distinct=distinct)
         return self
 
     @classmethod
@@ -95,12 +96,14 @@ class DenseMatrix:
         scalars._grammar_parts; codes is as for _of_codes.
         """
         self = cls.__new__(cls)
-        self._set(codes, True, _tokens=tokens, _parts=parts, _squares=_signed_squares(parts))
+        self._set(codes, _tokens=tokens, _parts=parts, _squares=_signed_squares(parts))
         return self
 
-    def _set(self, codes: np.ndarray, is_exact: bool, **stored) -> None:
+    def _set(self, codes: np.ndarray, **stored) -> None:
         codes.flags.writeable = False
-        self.__dict__.update(stored, _codes=codes, is_exact=is_exact)
+        self.__dict__.update(stored, _codes=codes)
+        # One float entry makes a float matrix; grammar tokens make none, so _distinct stays unbuilt.
+        self.__dict__["is_exact"] = "_tokens" in stored or not any(isinstance(e, float) for e in self._distinct)
 
     @cached_property
     def _distinct(self) -> tuple:
@@ -145,7 +148,7 @@ class DenseMatrix:
         return hash((self.entries, self.is_exact))
 
     def __repr__(self) -> str:
-        return f"DenseMatrix(entries={self.entries!r}, is_exact={self.is_exact!r})"
+        return f"DenseMatrix(entries={self.entries!r})"
 
     @property
     def rows(self) -> int:
@@ -163,6 +166,15 @@ class DenseMatrix:
         if _checked("row i", i, 1) > self.rows:
             raise IndexError(f"row {i} out of range")
         return self.entries[i - 1]
+
+
+def _checked_entry(entry):
+    """A matrix entry as stored: a finite float as a float, a SqrtRational as it is, else a checked rational."""
+    if not isinstance(entry, float):
+        return entry if isinstance(entry, SqrtRational) else _checked_rational("matrix entry", entry)
+    if not np.isfinite(entry):
+        raise ValueError(f"matrix entry must be finite, got {_shown(entry)}")
+    return float(entry)  # the same object for a float, a float for numpy's
 
 
 def _first_occurrence_codes(keys: Sequence) -> tuple[dict, np.ndarray]:
@@ -205,10 +217,10 @@ def parse_matrix(text: str, *, exact: bool = False) -> DenseMatrix:
     terms, which is all factoring reads, and builds the values the first
     time its entries are read.
 
-    Otherwise each distinct token is parsed once, as written.  The matrix
-    is exact unless a token is a decimal literal, in which case every
-    parsed value is converted to a finite float, so ``-0`` in a float
-    matrix is 0.0; with `exact` set, a decimal literal is an error instead.
+    Otherwise some token is not a grammar token, so the matrix is a float
+    matrix: each distinct token is parsed once, as written, and every
+    parsed value is converted to a finite float, so ``-0`` is 0.0; with
+    `exact` set, a decimal literal is an error instead.
     Token errors name the line of the first bad token in row-major order.
     """
     # Split as bytes: bytes.split() breaks at ASCII whitespace only.
@@ -249,11 +261,9 @@ def parse_matrix(text: str, *, exact: bool = False) -> DenseMatrix:
     try:
         for tok in distinct:
             values.append(parse_scalar(tok, exact=exact))
-        is_exact = not any(isinstance(v, float) for v in values)
-        if not is_exact:
-            for k, tok in enumerate(distinct):
-                values[k] = _finite_float(values[k], tok)
+        for k, tok in enumerate(distinct):
+            values[k] = _finite_float(values[k], tok)
     except FormatError as exc:
         line_no = body[tokens.index(tok.encode("utf-8", "surrogatepass")) // n_cols][0]
         raise FormatError(f"line {line_no}: {exc}") from None
-    return DenseMatrix._of_codes(tuple(values), codes, is_exact)
+    return DenseMatrix._of_codes(tuple(values), codes)

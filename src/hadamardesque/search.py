@@ -331,27 +331,29 @@ def find_hadamard_column_sets(m: int, limit: int | None = None,
     verify_column_set's pair sums vanish, and its dense matrix passes the
     direct Hadamard test.  The report says whether the tree was fully
     explored and which budget (if any) cut the run short; the time limit
-    covers the build of the lane masks too.  Odd orders end at the root;
-    even orders whose lane masks over the balanced columns exceed
-    ENGINE_TABLE_BUDGET bits (m >= 26) raise ResourceLimitError.
+    covers the build of the lane masks too.  Odd orders end at the root,
+    order 1 with its solution {1}; even orders whose lane masks over the
+    balanced columns exceed ENGINE_TABLE_BUDGET bits (m >= 26) raise
+    ResourceLimitError.
     """
     opts = options or SearchOptions()
-    m = _checked("order m", m, 2)
+    m = _checked("order m", m, 1)
     if limit is not None:
         _checked("limit", limit, 1)
     started = time.monotonic()
     deadline = None if opts.time_limit is None else started + opts.time_limit
     run = _Run(m, opts.force_first_column, opts.node_limit, deadline, limit, on_solution)
     reason = None
-    # Parity of the final pair sums equals the parity of m: odd orders are
-    # exhausted at the root without expanding anything.
-    if m % 2 == 0:
-        try:  # column 1 saturates lanes only at m=2, which its one balanced column passes
+    try:  # an odd order's final pair sums are odd: past order 1, it ends at the root
+        if m == 1:  # no row pairs: the root {1} is the whole set
+            run.visit()
+            run.emit((1,))
+        elif m % 2 == 0:  # column 1 saturates lanes only at m=2, which its one balanced column passes
             lanes = _Lanes(m, deadline)
             run.visit()
             _walk(lanes, lanes.root, lanes.everything, m - 1, run)
-        except _Stop as stop:
-            reason = stop.args[0]
+    except _Stop as stop:
+        reason = stop.args[0]
     return SearchReport(
         m=m,
         solutions=tuple(run.solutions),

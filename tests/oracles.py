@@ -375,7 +375,7 @@ def parse_by_token(text: str, exact: bool = False) -> DenseMatrix:
                 row[:] = [_finite_float(v, tok) for v, tok in zip(row, tokens)]
             except FormatError as exc:
                 raise FormatError(f"line {line_no}: {exc}") from None
-    return DenseMatrix(tuple(map(tuple, values)), is_exact=is_exact)
+    return DenseMatrix(tuple(map(tuple, values)))
 
 
 def format_by_id(matrix: DenseMatrix) -> str:

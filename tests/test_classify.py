@@ -11,6 +11,7 @@ from hadamardesque import (
     OUTPUT_ENTRY_BUDGET,
     DenseMatrix,
     HadamardesqueMatrix,
+    PairwiseDots,
     RepresentationVector,
     ResourceLimitError,
     ShapeError,
@@ -32,6 +33,17 @@ from hadamardesque import (
 
 def example_matrix() -> DenseMatrix:
     return parse_matrix(goldens.EXAMPLE_MATRIX_TEXT)
+
+
+def test_constructors_read_their_sequences_once():
+    # Each constructor reads its iterable once, so a generator works like a tuple.
+    column = WeightedColumn(1, 1)
+    assert HadamardesqueMatrix(2, (c for c in [column])) == HadamardesqueMatrix(2, [column])
+    assert HadamardesqueMatrix(2, (c for c in [column])).dense().shape == (2, 1)
+    with pytest.raises(ValueError, match="^a matrix needs at least one column$"):
+        HadamardesqueMatrix(2, (c for c in []))
+    assert RepresentationVector(2, (x for x in [1, 1])) == RepresentationVector(2, (1, 1))
+    assert PairwiseDots(2, (x for x in [1])) == PairwiseDots(2, (1,))
 
 
 def random_hadamardesque(rng, m, n) -> HadamardesqueMatrix:
@@ -127,7 +139,7 @@ def test_factor_refusals_match_the_square_oracle(rows, message):
 
 def test_float_column_with_a_zero_lead_is_flipped():
     # Only a tolerance >= 1 lets a 0.0 modulus pass; its sign counts as negative.
-    factored = factor_columns(DenseMatrix(((0.0,), (1.0,)), is_exact=False), tol=1)
+    factored = factor_columns(DenseMatrix(((0.0,), (1.0,))), tol=1)
     assert factored.flipped_columns == (1,)
     assert [(c.q, c.index) for c in factored.matrix.columns] == [(Fraction(1, 4), 2)]
 
@@ -140,7 +152,7 @@ def test_factor_rejects_tol_on_exact_input():
 def test_factor_float_matrix():
     scale = 1.5
     rows = tuple(tuple(scale * e for e in row) for row in goldens.H4)
-    factored = factor_columns(DenseMatrix(rows, is_exact=False))
+    factored = factor_columns(DenseMatrix(rows))
     assert all(c.q == Fraction(1.5) ** 2 for c in factored.matrix.columns)
     assert [c.index for c in factored.matrix.columns] == [
         c.index for c in factor_columns(DenseMatrix(goldens.H4)).matrix.columns
@@ -149,16 +161,16 @@ def test_factor_float_matrix():
 
 def test_factor_float_tolerance():
     noisy = ((1.0, 1.0 + 1e-12), (1.0, -1.0))
-    factored = factor_columns(DenseMatrix(noisy, is_exact=False))
+    factored = factor_columns(DenseMatrix(noisy))
     assert len(factored.matrix.columns) == 2
     with pytest.raises(ShapeError, match="column 2"):
-        factor_columns(DenseMatrix(((1.0, 1.0), (1.0, -1.001)), is_exact=False))
+        factor_columns(DenseMatrix(((1.0, 1.0), (1.0, -1.001))))
 
 
 def test_factor_float_columns_near_the_float_maximum():
     # Each column's float modulus sum overflows, so each mean is taken exactly.
     rows = ((1e308, 1.5e308), (-1e308, 1.5e308))
-    factored = factor_columns(DenseMatrix(rows, is_exact=False))
+    factored = factor_columns(DenseMatrix(rows))
     assert [c.q for c in factored.matrix.columns] == [Fraction(1e308) ** 2, Fraction(1.5e308) ** 2]
 
 
@@ -176,7 +188,7 @@ def test_factor_names_the_first_bad_column(columns, message, exact):
     if not exact:
         rows = tuple(tuple(map(float, row)) for row in rows)
     with pytest.raises(ShapeError) as raised:
-        factor_columns(DenseMatrix(rows, is_exact=exact))
+        factor_columns(DenseMatrix(rows))
     assert str(raised.value) == message
 
 
@@ -203,7 +215,7 @@ def test_float_weights_are_squares_of_the_sequential_mean():
             x = rng.uniform(0.1, 10)
             columns.append([rng.choice((1, -1)) * x * (1 + rng.uniform(-1e-11, 1e-11))
                             for _ in range(m)])
-        factored = factor_columns(DenseMatrix(tuple(zip(*columns)), is_exact=False))
+        factored = factor_columns(DenseMatrix(tuple(zip(*columns))))
         expected = list(map(_squared_sequential_mean, columns))
         assert [c.q for c in factored.matrix.columns] == expected
 
@@ -212,7 +224,7 @@ def test_float_overflow_columns_among_finite_ones():
     # Overflowing columns (two with one exact weight) interleaved with finite ones.
     columns = [(1.7e308, -1.7e308, 1.7e308), (3.0, 3.0, -3.0), (1.7e308, 1.7e308, -1.7e308),
                (0.1, 0.1, 0.1), (1e308, 1.5e308, 1.2e308)]
-    factored = factor_columns(DenseMatrix(tuple(zip(*columns)), is_exact=False), tol=0.5)
+    factored = factor_columns(DenseMatrix(tuple(zip(*columns))), tol=0.5)
     assert [c.q for c in factored.matrix.columns] == list(map(_squared_sequential_mean, columns))
     assert factored.flipped_columns == ()
 

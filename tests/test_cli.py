@@ -391,6 +391,14 @@ def test_search_odd_order_output(capsys):
     assert "exhaustive=true" in lines[1]
 
 
+def test_search_order_one_finds_the_matrix_verify_set_accepts(capsys):
+    code, out, _ = run(capsys, "search", "1")
+    assert code == 0
+    assert out.splitlines()[0] == "1: 1"
+    assert "solutions=1 nodes=1" in out and "exhaustive=true" in out
+    assert run(capsys, "verify-set", "1", "1")[:2] == (0, "true\n")
+
+
 def test_search_order_four_streams_solutions(capsys):
     code, out, _ = run(capsys, "search", "4")
     lines = out.splitlines()

@@ -164,7 +164,7 @@ def test_repeated_unconvertible_token_names_the_line_of_its_first_occurrence():
 
 def test_format_keeps_equal_entries_of_different_types_apart():
     # 1 and 1.0 are equal (and hash equal) but print as different tokens.
-    matrix = DenseMatrix(((1, 1.0, -1), (1.0, 1, -1.0)), is_exact=False)
+    matrix = DenseMatrix(((1, 1.0, -1), (1.0, 1, -1.0)))
     assert format_matrix(matrix) == "2 3\n1 1.0 -1\n1.0 1 -1.0\n"
 
 
@@ -238,26 +238,31 @@ def test_constructed_and_parsed_matrices_compare_and_hash_equal():
     half, root = Fraction(1, 2), SqrtRational.sqrt(2)
     matrices = [
         DenseMatrix(((half, root, half), (-root, half, root))),
-        DenseMatrix(((0.5, -1.25), (3.0, 2.0)), is_exact=False),
+        DenseMatrix(((0.5, -1.25), (3.0, 2.0))),
         sylvester(2),
         DenseMatrix(((1, 2),)),
     ]
     for matrix in matrices:
         again = parse_matrix(format_matrix(matrix))
-        rebuilt = DenseMatrix(matrix.entries, matrix.is_exact)
+        rebuilt = DenseMatrix(matrix.entries)
         assert again == matrix == rebuilt
         assert hash(again) == hash(matrix) == hash(rebuilt)
-    # Equal values of other types compare equal, as tuples of them do.
-    assert DenseMatrix(((1, 2),)) == DenseMatrix(((1.0, Fraction(2)),))
-    assert hash(DenseMatrix(((1, 2),))) == hash(DenseMatrix(((1.0, Fraction(2)),)))
-    assert DenseMatrix(((1, 2),)) != DenseMatrix(((1, 2),), is_exact=False)
+    # The repr evaluates back; a SqrtRational's own repr is not a constructor call.
+    for matrix in matrices[1:]:
+        assert eval(repr(matrix)) == matrix
+    # Equal exact values of other types compare equal, as tuples of them do;
+    # a float entry makes a float matrix, which no exact matrix equals.
+    assert DenseMatrix(((1, 2),)) == DenseMatrix(((Fraction(1), Fraction(2)),))
+    assert hash(DenseMatrix(((1, 2),))) == hash(DenseMatrix(((Fraction(1), Fraction(2)),)))
+    assert DenseMatrix(((1, 2),)) != DenseMatrix(((1.0, Fraction(2)),))
     assert DenseMatrix(((1, 2),)) != DenseMatrix(((1, 3),))
-    assert repr(DenseMatrix(((1, 2),))) == "DenseMatrix(entries=((1, 2),), is_exact=True)"
+    assert repr(DenseMatrix(((1, 2),))) == "DenseMatrix(entries=((1, 2),))"
 
 
 def test_equal_entries_of_different_types_stay_distinct():
-    matrix = DenseMatrix(((1, 1.0, True), (True, 1.0, 1)), is_exact=False)
-    assert [type(e) for e in matrix._distinct] == [int, float, bool]
+    one = Fraction(1)
+    matrix = DenseMatrix(((1, 1.0, one), (one, 1.0, 1)))
+    assert [type(e) for e in matrix._distinct] == [int, float, Fraction]
     assert matrix._codes.tolist() == [[0, 1, 2], [2, 1, 0]]
     assert format_matrix(matrix) == "2 3\n1 1.0 1\n1 1.0 1\n"
 

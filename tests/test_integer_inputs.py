@@ -50,7 +50,7 @@ INTEGER_INPUTS = {
     "pair_product_table": ("order m", 2, pair_product_table, 3),
     "pair_to_mask": ("order m", 1, lambda m: pair_to_mask(m, 2), 3),
     "pair_to_mask L": ("pair index L", 1, lambda L: pair_to_mask(3, L), 2),
-    "find_hadamard_column_sets": ("order m", 2, lambda m: find_hadamard_column_sets(m).solutions, 4),
+    "find_hadamard_column_sets": ("order m", 1, lambda m: find_hadamard_column_sets(m).solutions, 4),
     "construct_crv": ("order m", 2, lambda m: construct_crv(m, [1, 1, 1]), 3),
     "RepresentationVector": ("order m", 1, lambda m: RepresentationVector(m, (1, 1)), 2),
     "PairwiseDots": ("order m", 2, lambda m: PairwiseDots(m, (1,)), 2),

@@ -86,8 +86,7 @@ def test_printed_matrices_factor_like_the_square_oracle(m, floats, data):
     rows = list(zip(*columns))
     if floats:
         dense = DenseMatrix(
-            tuple(tuple(float(e) if data.draw(st.booleans()) else e for e in row) for row in rows),
-            is_exact=False,
+            tuple(tuple(float(e) if data.draw(st.booleans()) else e for e in row) for row in rows)
         )
     else:
         dense = DenseMatrix(tuple(rows))
@@ -405,6 +404,33 @@ def test_parse_matches_the_token_by_token_oracle(text, exact):
             assert math.copysign(1, got) == math.copysign(1, want)
     assert parsed == expected and hash(parsed) == hash(expected)
     assert _outcome(format_matrix, parsed) == _outcome(format_by_id, expected)
+
+
+exact_entries = {
+    "rational": st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=12)),
+    "sqrt": st.builds(lambda sign, q: sign * SqrtRational.sqrt(q), st.sampled_from((1, -1)),
+                      st.fractions(0, 9, max_denominator=12)),
+}
+exact_entries["mixed"] = st.one_of(*exact_entries.values())
+# A float matrix prints its exact entries as rational tokens and reads every
+# token back as a float, so its ints here are ones a float holds exactly.
+float_entries = {
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "float and int": st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                               st.integers(-(1 << 53), 1 << 53)),
+}
+
+
+@settings(deadline=None)
+@given(st.sampled_from(sorted({**exact_entries, **float_entries})), st.data())
+def test_python_built_matrices_read_back_equal(kind, data):
+    # One float entry makes a float matrix, for a file and a Python-built matrix alike.
+    entries = {**exact_entries, **float_entries}[kind]
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    matrix = DenseMatrix(tuple(tuple(data.draw(entries) for _ in range(cols)) for _ in range(rows)))
+    again = parse_matrix(format_matrix(matrix))
+    assert again == matrix and hash(again) == hash(matrix)
+    assert again.is_exact == matrix.is_exact == all(type(e) is not float for e in chain(*matrix.entries))
 
 
 # Unsigned grammar bodies: zeros, unreduced fractions and radicands, perfect squares.

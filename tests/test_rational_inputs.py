@@ -1,13 +1,15 @@
 """Every rational the API takes passes one check, with one message.
 
 Column weights, representation-vector weights, construction targets, an
-explicit shift, transform entries, free-span weights, pairwise dots and the
-arguments of SqrtRational are refused with a TypeError that names the
-parameter unless they are ints or Fractions (numpy integers included, as
-ints; bool excluded).  No float is read as its binary expansion and no
-string is parsed.
+explicit shift, transform entries, free-span weights, pairwise dots, the
+arguments of SqrtRational and matrix entries are refused with a TypeError
+that names the parameter unless they are ints or Fractions (numpy integers
+included, as ints; bool excluded).  No float is read as its binary
+expansion and no string is parsed; a float matrix entry makes a float
+matrix instead, and must be finite.
 """
 
+import math
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -17,12 +19,14 @@ import pytest
 
 from hadamardesque import (
     ConstructionOptions,
+    DenseMatrix,
     PairwiseDots,
     RepresentationVector,
     SqrtRational,
     WeightedColumn,
     construct_crv,
     factor_columns,
+    format_matrix,
     fwht,
     in_free_span,
     parse_matrix,
@@ -42,6 +46,7 @@ RATIONAL_INPUTS = {
     "fwht": ("transform entry", lambda x: fwht([x, 1])),
     "in_free_span": ("weight", lambda x: in_free_span([x, 1])),
     "PairwiseDots": ("dot product", lambda a: PairwiseDots(2, (a,))),
+    "DenseMatrix": ("matrix entry", lambda e: DenseMatrix(((e, 1), (e, -1)))),
 }
 
 PROBES = {"float": 0.1, "str": "1/2", "bool": True, "Decimal": Decimal("0.5"), "None": None}
@@ -55,6 +60,9 @@ def test_every_rational_input_is_refused_by_one_check(entry, probe):
     if entry == "shift" and probe == "str":  # a string shift names a policy
         with pytest.raises(ValueError, match=f"^unknown shift policy {value!r}$"):
             call(value)
+        return
+    if entry == "DenseMatrix" and probe == "float":  # a float entry makes a float matrix
+        assert not call(value).is_exact
         return
     message = re.escape(f"{name} must be an int or a Fraction, got {value!r}")
     with pytest.raises(TypeError, match=f"^{message}$"):
@@ -119,6 +127,34 @@ def test_dense_rows_are_checked_integers():
             table.row(value)
     with pytest.raises(IndexError, match="^row 4 out of range$"):
         table.row(4)
+
+
+def test_a_number_string_is_not_a_matrix_entry():
+    with pytest.raises(TypeError, match="^matrix entry must be an int or a Fraction, got '1'$"):
+        DenseMatrix((("1", 1),))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_matrix_entry_is_refused(value):
+    with pytest.raises(ValueError, match=f"^matrix entry must be finite, got {value!r}$"):
+        DenseMatrix(((1.0, value),))
+
+
+def test_numpy_matrix_entries_are_stored_as_python_scalars():
+    matrix = DenseMatrix(((np.int64(2), 1), (np.int64(2), -1)))
+    assert matrix.is_exact and all(type(e) is int for e in matrix._distinct)
+    assert format_matrix(matrix) == "2 2\n2 1\n2 -1\n"
+    assert [(c.q, c.index) for c in factor_columns(matrix).matrix.columns] == [(4, 1), (1, 2)]
+    matrix = DenseMatrix(((np.float64(0.5), 1), (np.float64(0.5), -1)))
+    assert not matrix.is_exact and type(matrix._distinct[0]) is float
+    assert format_matrix(matrix) == "2 2\n0.5 1\n0.5 -1\n"
+    assert parse_matrix(format_matrix(matrix)) == matrix
+
+
+def test_a_float_matrix_factors_as_its_file_does():
+    # A float entry makes a float matrix, factored at the float tolerance as its file is.
+    matrix = DenseMatrix(((0.1, 1.0), (0.1000000001, -1.0)))
+    assert factor_columns(matrix) == factor_columns(parse_matrix(format_matrix(matrix)))
 
 
 def test_a_bool_tolerance_is_refused():

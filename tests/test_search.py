@@ -500,7 +500,7 @@ def test_verify_column_set_order_32():
 
 def test_engine_range_checks():
     with pytest.raises(ValueError):
-        find_hadamard_column_sets(1)
+        find_hadamard_column_sets(0)
     report = find_hadamard_column_sets(29)
     assert (report.solutions, report.nodes, report.exhaustive) == ((), 0, True)
     with pytest.raises(ResourceLimitError, match="bounded below"):
@@ -512,6 +512,15 @@ def test_engine_range_checks():
     assert 2 * 276 * math.comb(23, 12) == 746_347_056 <= search.ENGINE_TABLE_BUDGET
     with pytest.raises(ValueError):
         find_hadamard_column_sets(4, limit=0)
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_order_one_is_its_root(normalized):
+    # No row pairs: the set {1} is the (1) Hadamard matrix, found at the root.
+    report = find_hadamard_column_sets(1, options=SearchOptions(force_first_column=normalized))
+    assert (report.solutions, report.nodes, report.exhaustive) == (((1,),), 1, True)
+    report = find_hadamard_column_sets(1, options=SearchOptions(node_limit=0))
+    assert (report.solutions, report.nodes, report.limit_fired) == ((), 0, "nodes")
 
 
 def test_dense_solution_and_record():
